@@ -70,10 +70,14 @@ def cmd_params(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    budget = EnergyBudget(args.alpha * args.alpha)
     r = math.asinh(args.alpha) if args.r is None else args.r
     started = time.time()
-    records = sweep_records(budget, r, args.eta, args.resolution)
+    try:
+        records = sweep_records(EnergyBudget(args.alpha * args.alpha), r, args.eta,
+                                args.resolution)
+    except ValueError as exc:
+        print(f"bad sweep input: {exc}", file=sys.stderr)
+        return 2
     out_dir = _out_dir(None)
     out_path = args.out or os.path.join(out_dir, "sweep.csv")
     try:
@@ -193,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and args.alpha <= 0:
-        parser.error("--alpha must be positive")
+    if getattr(args, "alpha", None) is not None and not 0 < args.alpha < math.inf:
+        parser.error("--alpha must be positive and finite")
     if getattr(args, "resolution", None) is not None and args.resolution < 2:
         parser.error("--resolution must be at least 2")
     return args.func(args)

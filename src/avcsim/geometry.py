@@ -6,6 +6,14 @@ q_c and the two one-sided product distributions q_0, q_1. This module
 computes barycentric coordinates in that triangle, membership in its shrunken
 version, and the containment margin delta* for a swept family of Gaussian
 jammer states.
+
+The sweep is one array path: the jammer grid as arrays (A, B, a), the
+closed-form receiver-port moments, the batch quadrant kernel
+`bivariate.quadrant_laws`, and barycentric coordinates, evaluated in blocks of
+_BLOCK points so temporaries stay small. Every check the scalar route made per
+state (single-mode and two-mode physicality, a positive-definite homodyne
+covariance, the quadrant-law bounds, the affine hull and the coordinate sum)
+is made on the whole block, and fails on NaN.
 """
 
 from __future__ import annotations
@@ -13,21 +21,32 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from itertools import repeat
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .bivariate import (
     BinaryJointDist,
     binarized_correlation,
-    correlation_coefficient,
-    homodyne_xx,
     mutual_information_bits,
-    quadrant_distribution,
+    quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
+    quadrant_laws,
 )
-from .gaussian import JammerGaussian, mix_tmsv_with_jammer
+from .gaussian import (
+    PHYSICALITY_ATOL,
+    SYMMETRY_ATOL,
+    JammerGaussian,
+    mix_tmsv_with_jammer,  # noqa: F401  perfbench traces this module attribute
+)
 
 COORD_SUM_ATOL = 1e-10
 MEMBERSHIP_ATOL = 1e-10
 AFFINE_HULL_ATOL = 1e-8
+
+# Points per evaluation block. The quadrant kernel holds (points x 20 nodes)
+# temporaries, so blocks keep each near 0.3 MB however large the grid is.
+_BLOCK = 2048
 
 __all__ = [
     "SimplexCoords",
@@ -74,8 +93,8 @@ class EnergyBudget:
     alpha_sq: float
 
     def __post_init__(self):
-        if self.alpha_sq < 0:
-            raise ValueError(f"energy budget must be nonnegative, got {self.alpha_sq}")
+        if not (math.isfinite(self.alpha_sq) and self.alpha_sq >= 0):
+            raise ValueError(f"energy budget must be finite and nonnegative, got {self.alpha_sq}")
 
     @property
     def alpha(self) -> float:
@@ -137,6 +156,39 @@ def default_squeezing(budget: EnergyBudget) -> float:
     return math.asinh(budget.alpha)
 
 
+def _grid_arrays(budget: EnergyBudget, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, a) of the jammer grid, in jammer_grid's order; see there."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    e = budget.alpha_sq
+    edge = math.sqrt(2.0) * budget.alpha
+    thermal = 0.5 * (2.0 * e + 1.0)
+    # A + 1/(4A) <= 2e + 1 bounds the variance range; the rest goes to a^2/2.
+    g = 2.0 * e + 1.0
+    disc = math.sqrt(max(g * g - 1.0, 0.0))
+    a_lo, a_hi = 0.5 * (g - disc), 0.5 * (g + disc)
+    steps = np.arange(resolution)
+    big_a = a_lo + (a_hi - a_lo) * steps / (resolution - 1)
+    a_max = np.sqrt(np.maximum(g - big_a - 0.25 / big_a, 0.0))[:, None]
+    spread = a_max > 0.0
+    disp = np.where(spread, -a_max + 2.0 * a_max * steps / (resolution - 1), 0.0)
+    keep = spread | (steps == 0)  # a row with no displacement room is one point
+    rows = np.broadcast_to(big_a[:, None], keep.shape)[keep]
+    cand_a = np.concatenate([[0.5, 0.5, 0.5, thermal], rows])
+    cand_b = np.concatenate([[0.5, 0.5, 0.5, thermal], 0.25 / rows])
+    cand_d = np.concatenate([[0.0, edge, -edge, 0.0], disp[keep]])
+    # first occurrence of each (A, a) rounded to 12 digits, as Python's round does
+    keys = list(zip(map(round, cand_a.tolist(), repeat(12)),
+                    map(round, cand_d.tolist(), repeat(12))))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    idx = np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
+    big_a, big_b, disp = cand_a[idx], cand_b[idx], cand_d[idx]
+    ok = (big_a > 0.0) & (big_b > 0.0) & (big_a * big_b >= 0.25 - SYMMETRY_ATOL)
+    if not np.all(ok):
+        raise ValueError("jammer grid holds an unphysical single-mode covariance")
+    return big_a, big_b, disp
+
+
 def jammer_grid(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
     """Gaussian jammer states covering the feasible x-quadrature region.
 
@@ -147,40 +199,9 @@ def jammer_grid(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
     thermal(alpha^2) are appended explicitly so boundary anchors are always
     present; duplicates are dropped.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    e = budget.alpha_sq
-    alpha = budget.alpha
-    anchors = [
-        JammerGaussian(A=0.5, B=0.5),
-        JammerGaussian(A=0.5, B=0.5, a=math.sqrt(2.0) * alpha),
-        JammerGaussian(A=0.5, B=0.5, a=-math.sqrt(2.0) * alpha),
-        JammerGaussian(A=0.5 * (2.0 * e + 1.0), B=0.5 * (2.0 * e + 1.0)),
-    ]
-    points: list[JammerGaussian] = []
-    seen: set = set()
-    for tau in anchors:
-        key = (round(tau.A, 12), round(tau.a, 12))
-        if key not in seen:
-            seen.add(key)
-            points.append(tau)
-    # A + 1/(4A) <= 2e + 1 bounds the variance range; the rest goes to a^2/2.
-    g = 2.0 * e + 1.0
-    disc = math.sqrt(max(g * g - 1.0, 0.0))
-    a_lo, a_hi = 0.5 * (g - disc), 0.5 * (g + disc)
-    for i in range(resolution):
-        big_a = a_lo + (a_hi - a_lo) * i / (resolution - 1)
-        spare = max(g - big_a - 0.25 / big_a, 0.0)
-        a_max = math.sqrt(spare)
-        for j in range(resolution):
-            a = -a_max + 2.0 * a_max * j / (resolution - 1) if a_max > 0 else 0.0
-            key = (round(big_a, 12), round(a, 12))
-            if key not in seen:
-                seen.add(key)
-                points.append(JammerGaussian(A=big_a, B=0.25 / big_a, a=a))
-            if a_max == 0.0:
-                break
-    return points
+    big_a, big_b, disp = _grid_arrays(budget, resolution)
+    return [JammerGaussian(A=x, B=y, a=z)
+            for x, y, z in zip(big_a.tolist(), big_b.tolist(), disp.tolist())]
 
 
 @dataclass(frozen=True)
@@ -195,24 +216,92 @@ class SweepPoint:
     mi_bits: float
 
 
+def _check_source(r: float, eta: float) -> None:
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"squeezing must be finite and nonnegative, got {r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+
+
+def _min_symplectic_eigenvalue(big_a: np.ndarray, big_b: np.ndarray, r: float,
+                               eta: float) -> np.ndarray:
+    """Smallest symplectic eigenvalue of mix_tmsv_with_jammer(r, eta, tau), C = 0.
+
+    The covariance is X (+) P over the x and p quadratures, and the squared
+    symplectic eigenvalues are the eigenvalues of X P. They are taken from the
+    symmetric L^T P L (X = L L^T) with cosh^2 - sinh^2 = 1 folded in, so no
+    term cancels, not even for pure or degenerate states.
+    """
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    u = 1.0 - eta
+    det_x = 0.5 * c * u * big_a + 0.25 * eta
+    det_p = 0.5 * c * u * big_b + 0.25 * eta
+    var_p = u * big_b + 0.5 * eta * c
+    m11 = 0.25 + 0.25 * u * u * s * s + 0.5 * u * eta * s * s * big_b / c
+    m12 = np.sqrt(det_x) * math.sqrt(eta) * s * u * (big_b - 0.5 * c) / c
+    m22 = var_p * det_x / (0.5 * c)
+    nu_hi_sq = 0.5 * (m11 + m22) + np.hypot(0.5 * (m11 - m22), m12)
+    return np.sqrt(det_x * det_p / nu_hi_sq)
+
+
+def _quadrant_arrays(big_a: np.ndarray, big_b: np.ndarray, disp: np.ndarray,
+                     r: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrant laws (N, 2, 2) and x-x correlations of the mixed states."""
+    if not np.all(_min_symplectic_eigenvalue(big_a, big_b, r, eta) >= 0.5 - PHYSICALITY_ATOL):
+        raise ValueError("mixed state violates the uncertainty principle")
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    var_b = (1.0 - eta) * big_a + eta * c / 2.0
+    # determinant of the homodyne covariance [[c/2, k], [k, var_b]], k^2 = eta s^2 / 4
+    if not np.all((var_b > 0.0) & (0.5 * c * (1.0 - eta) * big_a + 0.25 * eta > 1e-14)):
+        raise ValueError("homodyne covariance must be positive definite (nondegenerate)")
+    rho = math.sqrt(eta) * s / (2.0 * np.sqrt(c / 2.0 * var_b))
+    b = math.sqrt(1.0 - eta) * disp / np.sqrt(var_b)
+    return quadrant_laws(b, rho), rho
+
+
+def _barycentric_arrays(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """barycentric() on (N, 2, 2) laws, with its checks and SimplexCoords' sum check."""
+    if not np.all(np.abs(q[:, 0, 0] + q[:, 0, 1] - 0.5) <= AFFINE_HULL_ATOL):
+        raise ValueError("a swept q is off the affine hull q00 + q01 = 1/2")
+    l0 = 2.0 * q[:, 1, 0]
+    l1 = 2.0 * q[:, 0, 1]
+    lc = 1.0 - l0 - l1
+    if not np.all(np.abs(lc + l0 + l1 - 1.0) <= COORD_SUM_ATOL):
+        raise ValueError("barycentric coordinates must sum to 1")
+    return lc, l0, l1
+
+
+def _swept_blocks(budget: EnergyBudget, r: float, eta: float,
+                  resolution: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(A, B, a, q, rho) over the jammer grid, _BLOCK points at a time."""
+    big_a, big_b, disp = _grid_arrays(budget, resolution)
+    for lo in range(0, big_a.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        q, rho = _quadrant_arrays(big_a[part], big_b[part], disp[part], r, eta)
+        yield big_a[part], big_b[part], disp[part], q, rho
+
+
 def sweep_records(
     budget: EnergyBudget, r: float, eta: float = 0.5, resolution: int = 64
 ) -> list[SweepPoint]:
     """Full per-jammer records for the correlation-set sweep."""
-    if r < 0:
-        raise ValueError(f"squeezing must be nonnegative, got {r}")
+    _check_source(r, eta)
+    blocks = list(_swept_blocks(budget, r, eta, resolution))
+    big_a, big_b, disp, q, rho = (np.concatenate(parts) for parts in zip(*blocks))
+    coords = np.column_stack(_barycentric_arrays(q))
     out = []
-    for tau in jammer_grid(budget, resolution):
-        biv = homodyne_xx(mix_tmsv_with_jammer(r, eta, tau))
-        q = quadrant_distribution(biv)
+    for x, y, z, cells, lam, corr in zip(big_a.tolist(), big_b.tolist(), disp.tolist(),
+                                         q.reshape(-1, 4).tolist(), coords.tolist(),
+                                         rho.tolist()):
+        law = BinaryJointDist(*cells)
         out.append(
             SweepPoint(
-                jammer=tau,
-                q=q,
-                coords=barycentric(q),
-                rho=correlation_coefficient(biv),
-                rho_bin=binarized_correlation(q),
-                mi_bits=mutual_information_bits(q),
+                jammer=JammerGaussian(A=x, B=y, a=z),
+                q=law,
+                coords=SimplexCoords(*lam),
+                rho=corr,
+                rho_bin=binarized_correlation(law),
+                mi_bits=mutual_information_bits(law),
             )
         )
     return out
@@ -225,45 +314,51 @@ def correlation_set_sweep(
     return [(p.jammer, p.q) for p in sweep_records(budget, r, eta, resolution)]
 
 
-def _largest_delta(coords: Sequence[SimplexCoords]) -> float:
-    """Largest delta keeping every point inside the shrunken triangle (bisection)."""
-    if not coords:
-        raise ValueError("sweep produced no points")
+def _margin(lc: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
+    """Largest delta keeping every point (lc, l0, l1) inside the shrunken triangle.
 
-    def ok(delta: float) -> bool:
-        return all(_coords_in_shrunken(c, delta, MEMBERSHIP_ATOL) for c in coords)
-
-    if ok(1.0):
+    Closed form of membership with mu_i = lambda_i / (1 - delta) and slack
+    atol: delta <= 1 - (lambda_0 + lambda_1) / (1 + atol) at every point, and
+    delta <= 1 + lambda_i / atol wherever lambda_i < 0. No delta fits when a
+    coordinate is below -atol (0 is returned); delta = 1 fits when every
+    point is within atol of q_c.
+    """
+    atol = MEMBERSHIP_ATOL
+    if min(lc.min(), l0.min(), l1.min()) < -atol:
+        return 0.0
+    if np.all((np.abs(l0) <= atol) & (np.abs(l1) <= atol)):
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(min(np.min(1.0 - (l0 + l1) / (1.0 + atol)),
+                     1.0 + min(l0.min(), l1.min(), 0.0) / atol))
+
+
+def _largest_delta(budget: EnergyBudget, r: float, eta: float, resolution: int) -> float:
+    """_margin over the sweep at one grid resolution."""
+    coords = [_barycentric_arrays(q) for *_, q, _ in _swept_blocks(budget, r, eta, resolution)]
+    return _margin(*(np.concatenate(parts) for parts in zip(*coords)))
 
 
 def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> float:
     """Containment margin delta* of the swept correlation set.
 
-    Bisects delta against the sweep as a membership oracle, then doubles the
-    grid resolution until the answer moves by less than 1e-4. The margin is
-    positive for r > 0 and, at fixed r, shrinks as the jammer budget grows: a
-    larger budget only adds jammer states. With r = default_squeezing(budget)
-    the sender's squeezing grows with alpha too, and the margin is unimodal in
-    alpha: 0.1888, 0.2970, 0.2960, 0.2005 at alpha = 0.25, 0.5, 1, 2.
+    At each grid resolution the margin is the closed-form largest delta that
+    keeps every swept point in the shrunken triangle (no search); the
+    resolution doubles from 16 until the answer moves by less than 1e-4, or
+    reaches 512. The margin is positive for r > 0 and, at fixed r, shrinks as
+    the jammer budget grows: a larger budget only adds jammer states. With
+    r = default_squeezing(budget) the sender's squeezing grows with alpha too,
+    and the margin is unimodal in alpha: 0.1888, 0.2970, 0.2960, 0.2005 at
+    alpha = 0.25, 0.5, 1, 2.
     """
     if budget.alpha_sq <= 0:
         raise ValueError("delta* needs a positive jammer budget")
-    if r <= 0:
+    _check_source(r, eta)
+    if r == 0:
         raise ValueError("delta* needs positive squeezing")
     resolution = 16
     last = None
     while True:
-        coords = [p.coords for p in sweep_records(budget, r, eta, resolution)]
-        value = _largest_delta(coords)
+        value = _largest_delta(budget, r, eta, resolution)
         if last is not None and abs(value - last) < 1e-4:
             return value
         if resolution >= 512:  # sweep map is smooth; this is far past convergence

@@ -1,17 +1,36 @@
 """Hand-rolled reference implementations used to cross-check the package.
 
-Everything here is deliberately independent of the code under test (and of
+Most of this is deliberately independent of the code under test (and of
 math.erf): the error function is evaluated from its Taylor series and a
 Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
-standard errors.
+standard errors. The scalar sweep at the end is the per-state route that the
+package's array sweep replaced, kept as its reference.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
+
+from avcsim.bivariate import (
+    BinaryJointDist,
+    BivariateGaussian,
+    bivariate_normal_cdf,
+    correlation_coefficient,
+    homodyne_xx,
+    std_normal_cdf,
+)
+from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
+from avcsim.geometry import (
+    MEMBERSHIP_ATOL,
+    EnergyBudget,
+    SimplexCoords,
+    _coords_in_shrunken,
+    barycentric,
+)
 
 _SQRT_PI = 1.7724538509055160273
 
@@ -146,3 +165,103 @@ def mi_bits_from_joint(joint: np.ndarray) -> float:
             if joint[i, j] > 0.0:
                 total += joint[i, j] * math.log2(joint[i, j] / (pu[i] * pv[j]))
     return total
+
+
+# --- scalar sweep reference --------------------------------------------------
+#
+# One jammer state at a time: JammerGaussian objects, mix_tmsv_with_jammer
+# (with its 4x4 eigvals physicality check), homodyne_xx, and the quadrant law
+# from the adaptive bivariate_normal_cdf; delta* by 40-step bisection.
+
+
+def jammer_grid_scalar(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
+    """The jammer grid built point by point, with 12-digit deduplication."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    e = budget.alpha_sq
+    alpha = budget.alpha
+    anchors = [
+        JammerGaussian(A=0.5, B=0.5),
+        JammerGaussian(A=0.5, B=0.5, a=math.sqrt(2.0) * alpha),
+        JammerGaussian(A=0.5, B=0.5, a=-math.sqrt(2.0) * alpha),
+        JammerGaussian(A=0.5 * (2.0 * e + 1.0), B=0.5 * (2.0 * e + 1.0)),
+    ]
+    points: list[JammerGaussian] = []
+    seen: set = set()
+    for tau in anchors:
+        key = (round(tau.A, 12), round(tau.a, 12))
+        if key not in seen:
+            seen.add(key)
+            points.append(tau)
+    g = 2.0 * e + 1.0
+    disc = math.sqrt(max(g * g - 1.0, 0.0))
+    a_lo, a_hi = 0.5 * (g - disc), 0.5 * (g + disc)
+    for i in range(resolution):
+        big_a = a_lo + (a_hi - a_lo) * i / (resolution - 1)
+        spare = max(g - big_a - 0.25 / big_a, 0.0)
+        a_max = math.sqrt(spare)
+        for j in range(resolution):
+            a = -a_max + 2.0 * a_max * j / (resolution - 1) if a_max > 0 else 0.0
+            key = (round(big_a, 12), round(a, 12))
+            if key not in seen:
+                seen.add(key)
+                points.append(JammerGaussian(A=big_a, B=0.25 / big_a, a=a))
+            if a_max == 0.0:
+                break
+    return points
+
+
+def quadrant_distribution_adaptive(biv: BivariateGaussian) -> BinaryJointDist:
+    """Sign-pair law from the adaptive CDF: q00 = Phi2(0, -b; rho)."""
+    if abs(biv.mean[0]) > 1e-12:
+        raise ValueError(f"first component must be centered, got mean {biv.mean[0]}")
+    rho = correlation_coefficient(biv)
+    b = float(biv.mean[1] / math.sqrt(biv.cov[1, 1]))
+    q00 = bivariate_normal_cdf(0.0, -b, rho)
+    phi_mb = std_normal_cdf(-b)
+    return BinaryJointDist(q00, 0.5 - q00, phi_mb - q00, 0.5 - phi_mb + q00)
+
+
+def sweep_scalar(budget: EnergyBudget, r: float, eta: float,
+                 resolution: int) -> list[tuple[JammerGaussian, BinaryJointDist, float]]:
+    """(jammer, quadrant law, x-x correlation) per grid state, one state at a time."""
+    out = []
+    for tau in jammer_grid_scalar(budget, resolution):
+        biv = homodyne_xx(mix_tmsv_with_jammer(r, eta, tau))
+        out.append((tau, quadrant_distribution_adaptive(biv), correlation_coefficient(biv)))
+    return out
+
+
+def largest_delta_bisection(coords: Sequence[SimplexCoords]) -> float:
+    """Largest delta keeping every point inside the shrunken triangle (bisection)."""
+    if not coords:
+        raise ValueError("sweep produced no points")
+
+    def ok(delta: float) -> bool:
+        return all(_coords_in_shrunken(c, delta, MEMBERSHIP_ATOL) for c in coords)
+
+    if ok(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def delta_star_scalar(budget: EnergyBudget, r: float, eta: float = 0.5) -> float:
+    """compute_delta_star's resolution ladder on the scalar sweep and bisection."""
+    resolution = 16
+    last = None
+    while True:
+        coords = [barycentric(q) for _, q, _ in sweep_scalar(budget, r, eta, resolution)]
+        value = largest_delta_bisection(coords)
+        if last is not None and abs(value - last) < 1e-4:
+            return value
+        if resolution >= 512:
+            return value
+        last = value
+        resolution *= 2

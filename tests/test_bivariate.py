@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from avcsim.bivariate import (
+    CDF_ATOL,
+    RHO_LIMIT,
     BinaryJointDist,
     BivariateGaussian,
     arcsine_law,
@@ -16,11 +18,17 @@ from avcsim.bivariate import (
     homodyne_xx,
     mutual_information_bits,
     quadrant_distribution,
+    quadrant_laws,
     std_normal_cdf,
 )
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 
-from oracles import mc_quadrants, mi_bits_from_joint, std_cdf_oracle
+from oracles import (
+    mc_quadrants,
+    mi_bits_from_joint,
+    quadrant_distribution_adaptive,
+    std_cdf_oracle,
+)
 
 
 def test_std_normal_cdf_matches_independent_oracle():
@@ -161,6 +169,51 @@ def test_quadrant_distribution_frozen_coherent_jam_point():
     assert q.q01 == pytest.approx(0.34585608497285036, abs=1e-12)
     assert q.q10 == pytest.approx(0.004511338904307383, abs=1e-12)
     assert q.q11 == pytest.approx(0.4954886610956926, abs=1e-12)
+
+
+def test_quadrant_kernel_matches_adaptive_cdf():
+    rng = np.random.default_rng(83)
+    y = rng.uniform(-10.0, 10.0, 600)
+    rho = rng.uniform(-0.99999, 0.99999, 600)
+    # crowd a third of the set toward |rho| = 1, across the 0.925 switch
+    rho[:200] = rng.choice([-1.0, 1.0], 200) * (1.0 - 10.0 ** rng.uniform(-5.0, -1.0, 200))
+    q = quadrant_laws(-y, rho)
+    for i in range(y.size):
+        assert abs(q[i, 0, 0] - bivariate_normal_cdf(0.0, y[i], rho[i])) <= 1e-12, (y[i], rho[i])
+        phi = std_normal_cdf(y[i])
+        expected = (0.5 - q[i, 0, 0], phi - q[i, 0, 0], 0.5 - phi + q[i, 0, 0])
+        assert (q[i, 0, 1], q[i, 1, 0], q[i, 1, 1]) == pytest.approx(
+            tuple(max(0.0, e) for e in expected), abs=1e-15)
+    # between 1 - 1e-5 and RHO_LIMIT the adaptive routine promises CDF_ATOL
+    y = rng.uniform(-10.0, 10.0, 200)
+    rho = rng.choice([-1.0, 1.0], 200) * np.minimum(1.0 - 10.0 ** rng.uniform(-9.0, -5.0, 200),
+                                                    RHO_LIMIT)
+    q = quadrant_laws(-y, rho)
+    for i in range(y.size):
+        assert abs(q[i, 0, 0] - bivariate_normal_cdf(0.0, y[i], rho[i])) <= CDF_ATOL
+
+
+def test_quadrant_distribution_is_one_row_of_the_kernel():
+    rng = np.random.default_rng(84)
+    for _ in range(50):
+        st = mix_tmsv_with_jammer(rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0),
+                                  JammerGaussian(A=0.5, B=0.5, a=rng.normal(0.0, 2.0)))
+        biv = homodyne_xx(st)
+        q = quadrant_distribution(biv)
+        b = biv.mean[1] / math.sqrt(biv.cov[1, 1])
+        assert q.as_array().tolist() == quadrant_laws([b], [correlation_coefficient(biv)])[0].tolist()
+        ref = quadrant_distribution_adaptive(biv)
+        assert np.abs(q.as_array() - ref.as_array()).max() <= 1e-12
+
+
+def test_quadrant_kernel_checks_reject_bad_rows():
+    assert quadrant_laws([], []).shape == (0, 2, 2)
+    for b, rho in (([np.nan], [0.5]), ([0.3], [np.nan]), ([np.nan], [0.97]),
+                   ([0.0], [RHO_LIMIT + 1e-10]), ([0.0], [-1.0]), ([np.inf], [0.99])):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            quadrant_laws(b, rho)
+    with pytest.raises(ValueError):
+        quadrant_laws([0.1, 0.2], [0.5])
 
 
 def test_binarized_correlation_limits():

@@ -45,6 +45,33 @@ def test_sweep_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["config"]["resolution"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "nan"],
+    ["--alpha", "inf"],
+])
+def test_sweep_rejects_non_finite_alpha(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *argv, "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eta", "2"], "transmissivity"),
+    (["--eta", "nan"], "transmissivity"),
+    (["--r", "-1"], "squeezing"),
+    (["--r", "nan"], "squeezing"),
+    (["--r", "inf"], "squeezing"),
+])
+def test_sweep_bad_source_exits_2(argv, message, tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "1.0", *argv, "--out", str(out_csv)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_symmetrize_verdict_exit_codes(tmp_path, capsys):
     kernel_path = tmp_path / "kernel.json"
     kernel_path.write_text(json.dumps(avc_kernel(1.0).to_json_dict()))

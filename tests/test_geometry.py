@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import avcsim.geometry as geometry
 from avcsim.bivariate import BinaryJointDist
+from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, symplectic_eigenvalues
 from avcsim.geometry import (
     CSV_COLUMNS,
     EnergyBudget,
@@ -24,6 +26,13 @@ from avcsim.geometry import (
     vertices,
 )
 
+from oracles import (
+    delta_star_scalar,
+    jammer_grid_scalar,
+    largest_delta_bisection,
+    sweep_scalar,
+)
+
 
 def test_simplex_coords_validation():
     c = SimplexCoords(0.2, 0.5, 0.3)
@@ -36,8 +45,9 @@ def test_simplex_coords_validation():
 
 def test_energy_budget():
     assert EnergyBudget(4.0).alpha == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        EnergyBudget(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EnergyBudget(bad)
 
 
 def test_vertices_are_unit_barycentric_points():
@@ -148,3 +158,103 @@ def test_sweep_csv_schema_and_round_trip():
     assert len(rows) == len(records) + 1
     assert float(rows[1][0]) == records[0].jammer.A  # repr round-trips exactly
     assert float(rows[1][11]) == records[0].mi_bits
+
+
+def _no_work(*args):
+    raise AssertionError("input was not rejected before the sweep started")
+
+
+def test_bad_squeezing_and_transmissivity_rejected_before_work(monkeypatch):
+    budget = EnergyBudget(1.0)
+    monkeypatch.setattr(geometry, "_grid_arrays", _no_work)
+    for r, eta in ((math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5),
+                   (0.5, -0.1), (0.5, 1.5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            sweep_records(budget, r, eta, 8)
+        with pytest.raises(ValueError):
+            compute_delta_star(budget, r, eta)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_grid_arrays_match_scalar_grid(alpha):
+    budget = EnergyBudget(alpha * alpha)
+    for resolution in (2, 3, 16, 64, 200):
+        expected = jammer_grid_scalar(budget, resolution)
+        big_a, big_b, disp = geometry._grid_arrays(budget, resolution)
+        assert big_a.tolist() == [t.A for t in expected]
+        assert big_b.tolist() == [t.B for t in expected]
+        assert disp.tolist() == [t.a for t in expected]
+        assert jammer_grid(budget, resolution) == expected
+
+
+def test_sweep_matches_scalar_route():
+    budget = EnergyBudget(1.0)
+    r = default_squeezing(budget)
+    for eta in (0.0, 0.3, 0.5, 1.0):
+        records = sweep_records(budget, r, eta, 12)
+        expected = sweep_scalar(budget, r, eta, 12)
+        assert [p.jammer for p in records] == [tau for tau, _, _ in expected]
+        for p, (_, q, rho) in zip(records, expected):
+            assert np.abs(p.q.as_array() - q.as_array()).max() <= 1e-12
+            assert p.rho == pytest.approx(rho, abs=1e-14)
+            assert p.coords.as_tuple() == pytest.approx(barycentric(q).as_tuple(), abs=1e-12)
+
+
+def test_delta_star_matches_scalar_bisection():
+    fixed_r = default_squeezing(EnergyBudget(0.25))
+    for alpha in (0.25, 0.5, 1.0, 2.0):
+        budget = EnergyBudget(alpha * alpha)
+        for r in {default_squeezing(budget), fixed_r}:
+            assert abs(compute_delta_star(budget, r) - delta_star_scalar(budget, r)) <= 1e-12
+
+
+def test_closed_form_margin_matches_bisection_edge_cases():
+    cases = [
+        [(0.7, 0.2, 0.1), (0.5, 0.1, 0.4)],
+        [(1.0, 0.0, 0.0), (1.0 - 4e-11, 2e-11, 2e-11)],  # every point at q_c
+        [(0.9, 0.1, 0.0), (1.0 - 4e-11, 2e-11, 2e-11)],
+        [(0.6, 0.4 + 5e-11, -5e-11)],  # slightly negative lambda_1
+        [(0.6, 0.4 + 3e-10, -3e-10)],  # below -atol: no delta fits
+        [(-5e-11, 0.5, 0.5 + 5e-11)],
+        [(-3e-10, 0.5, 0.5 + 3e-10)],
+    ]
+    for lams in cases:
+        coords = [SimplexCoords(*lam) for lam in lams]
+        expected = largest_delta_bisection(coords)
+        got = geometry._margin(*np.array(lams).T)
+        # the bisection stops on a 2^-40 grid below the closed form's supremum
+        assert expected <= got <= expected + 2.0 ** -40, (lams, got, expected)
+
+
+def test_min_symplectic_eigenvalue_closed_form():
+    rng = np.random.default_rng(57)
+    cases = [(0.0, 0.5), (0.8, 0.0), (0.8, 1.0), (2.5, 1.0), (2.5, 0.999)]
+    cases += [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)) for _ in range(40)]
+    for r, eta in cases:
+        big_a = rng.uniform(0.05, 6.0, 5)
+        big_b = 0.25 / big_a * rng.choice([1.0, 1.0, 3.0], 5)
+        got = geometry._min_symplectic_eigenvalue(big_a, big_b, r, eta)
+        for i in range(5):
+            state = mix_tmsv_with_jammer(r, eta, JammerGaussian(A=big_a[i], B=big_b[i]))
+            assert got[i] == pytest.approx(symplectic_eigenvalues(state.cov).min(),
+                                           abs=1e-12, rel=1e-12), (r, eta, big_a[i], big_b[i])
+
+
+def test_batched_checks_reject_bad_states():
+    ok_a, ok_b = np.array([0.5, 1.0]), np.array([0.5, 0.25])
+    q, _ = geometry._quadrant_arrays(ok_a, ok_b, np.zeros(2), 0.5, 0.5)
+    assert q.shape == (2, 2, 2)
+    bad = [
+        (np.array([0.5, 0.1]), np.array([0.5, 0.1]), np.zeros(2), 0.5, 0.0),  # AB < 1/4
+        (np.array([0.5, np.nan]), ok_b, np.zeros(2), 0.5, 0.5),
+        (ok_a, np.array([0.5, np.nan]), np.zeros(2), 0.5, 0.5),
+        (ok_a, ok_b, np.array([0.0, np.nan]), 0.5, 0.5),
+    ]
+    for big_a, big_b, disp, r, eta in bad:
+        with pytest.raises(ValueError):
+            geometry._quadrant_arrays(big_a, big_b, disp, r, eta)
+    off_hull = np.array([[[0.3, 0.1], [0.3, 0.3]]])
+    with pytest.raises(ValueError, match="affine hull"):
+        geometry._barycentric_arrays(off_hull)
+    with pytest.raises(ValueError, match="affine hull"):
+        geometry._barycentric_arrays(np.full((1, 2, 2), np.nan))
