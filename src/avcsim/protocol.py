@@ -16,7 +16,10 @@ for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -77,6 +80,16 @@ def jammer_state_for_symbol(s: int, alpha: float) -> JammerGaussian:
     raise ValueError(f"jammer symbol must be 0, 1 or 2, got {s}")
 
 
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JammerStrategy:
     """Per-round jammer behaviour: a symbol schedule, a state list, or a worst-case set.
@@ -99,6 +112,9 @@ class JammerStrategy:
                 raise ValueError("symbol schedules need a nonempty tuple over {0,1,2}")
         if self.kind == "gaussian" and not self.states:
             raise ValueError("gaussian schedules need at least one state")
+        for t in self.states:
+            for name in ("A", "B", "C", "a", "b"):
+                _require_finite(f"jammer state {name}", getattr(t, name))
         if self.kind == "worst_of":
             if len(self.options) < 1:
                 raise ValueError("worst_of needs at least one option")
@@ -195,6 +211,9 @@ class SimConfig:
     k side rounds split evenly between the correlation and seed phases; the
     remaining n - k rounds carry data at the given rate. `cr_seed_bits` fixes
     how many shared seed bits phase 2 transfers (plus one parity slot).
+    Real fields must be finite and integer fields plain integers (not bool,
+    not 2.0), so a config that constructs can be simulated and is a sound
+    key for the per-run decoder tables.
     """
 
     alpha: float
@@ -212,6 +231,12 @@ class SimConfig:
     max_block_bits: int = 13
 
     def __post_init__(self):
+        for name in ("alpha", "rate", "eta"):
+            _require_finite(name, getattr(self, name))
+        if self.r is not None:
+            _require_finite("r", self.r)
+        for name in ("n", "k", "trials", "master_seed", "cr_seed_bits", "max_block_bits"):
+            _require_integer(name, getattr(self, name))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.n < 1:
@@ -371,16 +396,19 @@ def _pair_outputs(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
 # deterministic function of the config, so decoding stays reproducible.
 
 
+def _normal_cdf_per_distinct(z: np.ndarray) -> np.ndarray:
+    """std_normal_cdf elementwise, called once per distinct value of z."""
+    uniq, inverse = np.unique(z, return_inverse=True)
+    return np.array([std_normal_cdf(v) for v in uniq.tolist()])[inverse.reshape(z.shape)]
+
+
 def _bpsk_flip_table(big_a: np.ndarray, disp: np.ndarray,
                      alpha: float, eta: float) -> np.ndarray:
     """p1[i, x] = P(y = 1 | x) per round, from the homodyne quadrature law."""
     sd = np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
     shift = math.sqrt(1.0 - eta) * disp
-    p1 = np.empty((big_a.shape[0], 2))
-    for xbit in (0, 1):
-        mean = math.sqrt(2.0 * eta) * alpha * (1.0 - 2.0 * xbit) + shift
-        p1[:, xbit] = [std_normal_cdf(z) for z in -mean / sd]
-    return p1
+    mean = math.sqrt(2.0 * eta) * alpha * np.array([1.0, -1.0]) + shift[:, None]
+    return _normal_cdf_per_distinct(-mean / sd[:, None])
 
 
 def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
@@ -399,7 +427,7 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
     var_b = etap * keys[:, 0] + config.eta * c_r / 2.0
     b = math.sqrt(etap) * keys[:, 1] / np.sqrt(var_b)
     if config.source == "thermal":
-        pv1 = np.array([std_normal_cdf(z) for z in b.tolist()])
+        pv1 = _normal_cdf_per_distinct(b)
         table = np.empty((keys.shape[0], 2, 2))
         table[:, :, 0] = 0.5 * (1.0 - pv1)[:, None]
         table[:, :, 1] = 0.5 * pv1[:, None]
@@ -430,6 +458,31 @@ def _vote_model(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
                 vm[idx, f, 1 ^ masks ^ v] += weight * py1
                 vm[idx, f, masks ^ v] += weight * (1.0 - py1)
     return vm
+
+
+# The decoders' tables depend only on the config (whose jammer lists the
+# candidate leaves) and the phase length, so each is built once per run rather
+# than once per trial; a run needs one entry of each cache.
+@functools.lru_cache(maxsize=4)
+def _vote_logliks(config: SimConfig, rounds: int, n_slots: int) -> np.ndarray:
+    """ll[h, i, f, w] = log P(vote_i = w | frame bit f) under leaf h; read-only."""
+    masks = (np.arange(rounds) // n_slots) % 2
+    vm = np.stack([_vote_model(leaf, rounds, masks, config) for leaf in config.jammer.leaves()])
+    ll = np.log(np.clip(vm, 1e-300, None))
+    ll.flags.writeable = False
+    return ll
+
+
+@functools.lru_cache(maxsize=4)
+def _data_flip_tables(config: SimConfig, rounds: int) -> np.ndarray:
+    """p1[h, i, x] of the data phase under leaf h; read-only."""
+    p1 = np.stack([
+        _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k),
+                         config.alpha, config.eta)
+        for leaf in config.jammer.leaves()
+    ])
+    p1.flags.writeable = False
+    return p1
 
 
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
@@ -510,8 +563,7 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
     idx = np.arange(rounds)
     best_total = -np.inf
     decoded = np.zeros(n_slots, dtype=np.int64)
-    for leaf in config.jammer.leaves():
-        ll = np.log(np.clip(_vote_model(leaf, rounds, masks, config), 1e-300, None))
+    for ll in _vote_logliks(config, rounds, n_slots):
         sums0 = np.bincount(slots, weights=ll[idx, 0, votes], minlength=n_slots)
         sums1 = np.bincount(slots, weights=ll[idx, 1, votes], minlength=n_slots)
         total = float(np.maximum(sums0, sums1).sum())
@@ -585,9 +637,10 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Send message_bits raw (no XOR layer) in seed-keyed random sub-blocks.
 
-    The sender and receiver build their codebooks from their own seed copies;
-    a seed mismatch yields independently wrong codebooks and hence garbage
-    decoding, which is the honest failure mode. Decoding is exact likelihood
+    The sender and receiver build their codebooks from their own seed copies
+    (equal copies select the same codebook, so it is drawn once); a seed
+    mismatch yields independently wrong codebooks and hence garbage decoding,
+    which is the honest failure mode. Decoding is exact likelihood
     against the candidate schedule set, which the receiver knows from the
     config; the realised schedule stays hidden.
     """
@@ -595,11 +648,9 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     if sum(b for _, b in plan) != len(message_bits):
         raise ValueError("message length does not match the block plan")
     big_a, disp = strategy.round_params(rounds, config.alpha, config.k)
-    leaves = config.jammer.leaves()
-    p1 = np.empty((len(leaves), rounds, 2))
-    for hi, leaf in enumerate(leaves):
-        p1[hi] = _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k),
-                                  config.alpha, config.eta)
+    p1 = _data_flip_tables(config, rounds)
+    # the codebook key depends only on the seed value, so equal copies share one draw
+    shared = np.array_equal(sender_seed, receiver_seed)
     decoded = np.zeros_like(message_bits)
     pos_rounds = 0
     pos_bits = 0
@@ -617,8 +668,8 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
             disp[pos_rounds : pos_rounds + length],
             config.alpha, config.eta, rng,
         )
-        cb_recv = random_codebook(1 << bits, length, config.master_seed, strategy_idx,
-                                  trial, receiver_seed, block)
+        cb_recv = cb_send if shared else random_codebook(
+            1 << bits, length, config.master_seed, strategy_idx, trial, receiver_seed, block)
         m_hat = schedule_set_decoder(cb_recv, y,
                                      p1[:, pos_rounds : pos_rounds + length, :])
         for j in range(bits - 1, -1, -1):
@@ -745,6 +796,11 @@ def _run_task(args: tuple) -> tuple[int, int, dict]:
     return strategy_idx, trial, _run_trial(config, strategy, strategy_idx, trial)
 
 
+def _pool_size(requested: int, tasks: int) -> int:
+    """Worker processes worth starting: no more than tasks or CPUs, at least 1."""
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
+
+
 def simulate(config: SimConfig, workers: int = 1) -> SimReport:
     """Run all trials against every leaf strategy and aggregate the worst case.
 
@@ -759,7 +815,8 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
         for t in range(config.trials)
     ]
     records: list = [None] * len(tasks)
-    if workers <= 1:
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
         results = map(_run_task, tasks)
         for si, t, rec in results:
             records[si * config.trials + t] = rec

@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -141,3 +142,67 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "p_tilde" in proc.stdout
+
+
+# (field, value) pairs that `simulate` must refuse up front with exit code 2
+BAD_CONFIG_FIELDS = [
+    ("alpha", float("nan")), ("alpha", float("inf")),
+    ("rate", float("nan")),
+    ("eta", float("nan")),
+    ("r", float("inf")),
+    ("n", 64.5),
+    ("k", True),
+    ("trials", 2.0),
+    ("master_seed", True),
+    ("cr_seed_bits", 1.5),
+    ("max_block_bits", 13.0),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_CONFIG_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v in BAD_CONFIG_FIELDS])
+def test_simulate_rejects_bad_field_with_exit_2(field, value, tmp_path, capsys):
+    data = json.loads(_sim_config_file(tmp_path).read_text())
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad config: {field} must be")
+    assert not (tmp_path / "run").exists()
+
+
+# Small configs of each mode and source with the sha256 of report.json and
+# trials.csv: a change to the decoders, codebooks or random streams that alters
+# any output byte fails here.
+PINNED_RUNS = {
+    "correlation-assisted": (
+        {"k": 32, "cr_seed_bits": 3},
+        "29492fdfa342fb8afffc5d4e0f3c9f6be56da4ea4b5d971237c4e08bc3f868e6",
+        "71d461d21abf62ab1604bd3495e3ab85aea9a9f147baee455defc56a7870eb83"),
+    "thermal": (
+        {"k": 32, "cr_seed_bits": 3, "source": "thermal"},
+        "7b395bc1b4931e27faa4dc06b1d3d058687b582ec9f363c21a0dadd710a98753",
+        "bfb4493a649888827c6616942e86eecf2ab40dfc11e6b91f8d31310552abb2d4"),
+    "common-randomness": (
+        {"code_mode": "common-randomness"},
+        "b3b57c9205eb567cc6d915a58013320ec479327c0006c169b39954fe316f60da",
+        "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
+    "deterministic": (
+        {"code_mode": "deterministic"},
+        "001721d75684d37623999fad78a3d6546f82409958d6cdb3211ef05a38537852",
+        "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_simulate_artifacts_match_pinned_hashes(name, tmp_path, capsys):
+    overrides, report_sha, trials_sha = PINNED_RUNS[name]
+    kw = dict(alpha=1.0, n=128, k=0, rate=0.1, master_seed=20260813, trials=3)
+    cfg = SimConfig(jammer=canonical_schedules(), **dict(kw, **overrides))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    out = tmp_path / "run"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha
+    assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == trials_sha

@@ -1,12 +1,13 @@
 """Protocol phases, decoders, exact evaluation, and the simulation harness."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from avcsim.bivariate import BinaryJointDist, quadrant_distribution, homodyne_xx
+from avcsim.bivariate import BinaryJointDist, quadrant_distribution, homodyne_xx, std_normal_cdf
 from avcsim.channels import avc_kernel, binary_entropy, bsc_table, crossover_probs
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 from avcsim.protocol import (
@@ -25,7 +26,16 @@ from avcsim.protocol import (
     simulate,
     symmetrizing_attack_error,
 )
-from avcsim.protocol import _bpsk_outputs, _pair_outputs, _block_plan, _rng
+from avcsim import protocol
+from avcsim.protocol import (
+    _block_plan,
+    _bpsk_outputs,
+    _data_flip_tables,
+    _pair_outputs,
+    _pool_size,
+    _rng,
+    _vote_logliks,
+)
 
 from oracles import repetition_majority_error
 
@@ -390,3 +400,136 @@ def test_simulate_modes_without_side_rounds():
         rep = simulate(cfg)
         assert rep.per_strategy["all-0"]["seed_agreement_rate"] == 1.0
         assert len(rep.per_trial) == 2
+
+
+# --- strict config inputs -----------------------------------------------------
+
+_GOOD_JSON = SimConfig(alpha=1.0, n=64, k=8, rate=0.2, jammer=canonical_schedules(),
+                       r=0.9, cr_seed_bits=1).to_json_dict()
+
+# (field, value) pairs that `SimConfig` must reject before any simulation work
+BAD_FIELDS = [
+    ("alpha", math.nan), ("alpha", math.inf),
+    ("rate", math.nan), ("rate", math.inf),
+    ("eta", math.nan),
+    ("r", math.nan), ("r", math.inf),
+    ("n", 64.5), ("n", True),
+    ("k", 8.0), ("k", True),
+    ("trials", 2.0), ("trials", True),
+    ("master_seed", 1.5), ("master_seed", True),
+    ("cr_seed_bits", 1.5), ("cr_seed_bits", True),
+    ("max_block_bits", 13.0), ("max_block_bits", True),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v in BAD_FIELDS])
+def test_sim_config_rejects_non_finite_and_non_integer_fields(field, value):
+    data = json.loads(json.dumps(dict(_GOOD_JSON, **{field: value})))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SimConfig.from_json_dict(data)
+
+
+def test_sim_config_rejects_non_finite_jammer_states():
+    states = [{"A": 0.5, "B": 0.5, "a": math.nan}]
+    data = dict(_GOOD_JSON, jammer={"kind": "gaussian", "states": states})
+    with pytest.raises(ValueError, match="^jammer state a must be"):
+        SimConfig.from_json_dict(data)
+
+
+# --- worker pool size ---------------------------------------------------------
+
+
+def test_pool_size_clamps_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    assert _pool_size(10**9, 10**9) == 2
+    assert _pool_size(10**9, 1) == 1
+    assert _pool_size(1, 80) == 1
+    assert _pool_size(0, 80) == 1
+    assert _pool_size(-5, 80) == 1
+    assert _pool_size(4, 0) == 1
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
+    assert _pool_size(10**9, 80) == 1
+
+
+def test_simulate_clamps_workers_before_opening_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+    cfg = SimConfig(alpha=1.0, n=24, k=8, rate=0.25, jammer=canonical_schedules(),
+                    master_seed=123, trials=1, cr_seed_bits=1)
+    assert simulate(cfg, workers=10**9) == simulate(cfg)
+
+
+# --- config-invariant work done once per run ---------------------------------
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(protocol, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=31, trials=trials, cr_seed_bits=3)
+    _vote_logliks.cache_clear()
+    _data_flip_tables.cache_clear()
+    calls = _counting(monkeypatch, "_bpsk_flip_table")
+    simulate(cfg)
+    # one transfer-phase and one data-phase table per canonical leaf
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_common_randomness_draws_one_codebook_per_block(monkeypatch, trials):
+    cfg = SimConfig(alpha=1.0, n=128, k=0, rate=0.1, jammer=canonical_schedules(),
+                    code_mode="common-randomness", master_seed=32, trials=trials)
+    calls = _counting(monkeypatch, "random_codebook")
+    simulate(cfg)
+    blocks = len(_block_plan(cfg.n - cfg.k, cfg.rate, cfg.max_block_bits))
+    assert len(calls) == 4 * trials * blocks
+
+
+def test_mismatched_seed_copies_draw_two_codebooks(monkeypatch):
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    source="thermal", master_seed=33, trials=3, cr_seed_bits=3)
+    calls = _counting(monkeypatch, "random_codebook")
+    rep = simulate(cfg)
+    blocks = len(_block_plan(cfg.n - cfg.k, cfg.rate, cfg.max_block_bits))
+    mismatched = sum(not row["seed_ok"] for row in rep.per_trial)
+    assert mismatched > 0  # the thermal source carries no correlation
+    assert len(calls) == blocks * (len(rep.per_trial) + mismatched)
+
+
+def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    cr_seed_bits=3)
+    other = dataclasses.replace(cfg, eta=0.6)
+    for build, args in ((_vote_logliks, (16, 4)), (_data_flip_tables, (96,))):
+        table = build(cfg, *args)
+        assert build(cfg, *args) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+        assert not np.array_equal(build(other, *args), table)
+
+
+def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
+    alpha, eta = 1.3, 0.7
+    big_a, disp = JammerStrategy.from_symbols((0, 1, 2, 2)).round_params(11, alpha, 1)
+    table = protocol._bpsk_flip_table(big_a, disp, alpha, eta)
+    for i in range(11):
+        sd = math.sqrt(eta / 2.0 + (1.0 - eta) * big_a[i])
+        for x in (0, 1):
+            mean = math.sqrt(2.0 * eta) * alpha * (1.0 - 2.0 * x) + math.sqrt(1.0 - eta) * disp[i]
+            assert table[i, x] == std_normal_cdf(-mean / sd)
