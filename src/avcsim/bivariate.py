@@ -49,6 +49,7 @@ __all__ = [
     "BivariateGaussian",
     "BinaryJointDist",
     "std_normal_cdf",
+    "std_normal_cdf_array",
     "bivariate_normal_pdf",
     "bivariate_normal_cdf",
     "homodyne_xx",
@@ -69,8 +70,8 @@ def std_normal_cdf(x: float) -> float:
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    # elementwise std_normal_cdf; numpy has no erfc
+def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    """std_normal_cdf elementwise, bit for bit (numpy has no erfc)."""
     return 0.5 * _erfc(-x / math.sqrt(2.0))
 
 
@@ -224,7 +225,7 @@ def _orthant_at_origin(b: np.ndarray, rho: np.ndarray, phi_mb: np.ndarray) -> np
     v = a * np.exp(-0.5 * bs / one_m) * (
         1.0 - c * (bs - one_m) * (1.0 - d * bs / 5.0) / 3.0 + c * d * one_m * one_m / 5.0)
     abs_b = np.abs(bn)
-    v -= (math.sqrt(2.0 * math.pi) * _std_normal_cdf_array(-abs_b / a) * abs_b
+    v -= (math.sqrt(2.0 * math.pi) * std_normal_cdf_array(-abs_b / a) * abs_b
           * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
     half = 0.5 * a
     xs = np.multiply.outer(a, _UNIT_NODES) ** 2
@@ -251,7 +252,7 @@ def quadrant_laws(b, rho) -> np.ndarray:
         raise ValueError(f"b and rho must be 1-D of one length, got {b.shape}, {rho.shape}")
     if not np.all(np.abs(rho) <= RHO_LIMIT):
         raise ValueError(f"|rho| must be <= {RHO_LIMIT}, got max {np.max(np.abs(rho))}")
-    phi_mb = _std_normal_cdf_array(-b)
+    phi_mb = std_normal_cdf_array(-b)
     q00 = np.clip(_orthant_at_origin(b, rho, phi_mb), 0.0, 1.0)
     q = np.stack([q00, 0.5 - q00, phi_mb - q00, 0.5 - phi_mb + q00], axis=-1)
     if not np.all(q >= -1e-9):

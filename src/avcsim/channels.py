@@ -73,9 +73,12 @@ class ChannelTable:
         shape = (len(self.states), len(self.inputs), len(self.outputs))
         if w.shape != shape:
             raise ValueError(f"w must have shape {shape}, got {w.shape}")
-        if w.min() < -ROW_ATOL:
-            raise ValueError("channel probabilities must be nonnegative")
-        if np.abs(w.sum(axis=2) - 1.0).max() > ROW_ATOL:
+        if w.size == 0:
+            raise ValueError("channel table needs at least one state, input and output")
+        # written so that NaN entries fail
+        if not np.all(w >= -ROW_ATOL):
+            raise ValueError("channel probabilities must be finite and nonnegative")
+        if not np.all(np.abs(w.sum(axis=2) - 1.0) <= ROW_ATOL):
             raise ValueError("every (s, x) row must sum to 1")
         w = np.clip(w, 0.0, 1.0)
         w.setflags(write=False)

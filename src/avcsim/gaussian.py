@@ -11,6 +11,8 @@ frozen dataclasses and never mutated in place.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +38,7 @@ __all__ = [
     "partial_trace",
     "mean_photon_number",
     "mix_tmsv_with_jammer",
+    "receiver_port_moments",
 ]
 
 
@@ -65,6 +68,11 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 def is_physical(cov: np.ndarray, atol: float = PHYSICALITY_ATOL) -> bool:
     """True when cov + i*Omega/2 >= 0, i.e. min symplectic eigenvalue >= 1/2."""
     return bool(symplectic_eigenvalues(cov).min() >= 0.5 - atol)
+
+
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -201,6 +209,11 @@ class JammerGaussian:
     b: float = 0.0
 
     def __post_init__(self):
+        for name in ("A", "B", "C", "a", "b"):
+            value = getattr(self, name)
+            # plain finite floats, the common case, skip the slower general check
+            if type(value) is not float or not math.isfinite(value):
+                _require_finite(f"jammer state {name}", value)
         if self.A <= 0 or self.B <= 0:
             raise ValueError(f"variances must be positive, got A={self.A}, B={self.B}")
         if self.A * self.B - self.C**2 < 0.25 - SYMMETRY_ATOL:
@@ -246,3 +259,19 @@ def mix_tmsv_with_jammer(r: float, eta: float, tau: JammerGaussian) -> GaussianS
     )
     mean = np.array([0.0, 0.0, np.sqrt(ep) * tau.a, np.sqrt(ep) * tau.b])
     return GaussianState(2, mean, cov)
+
+
+def receiver_port_moments(big_a, disp, r: float,
+                          eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x-block of `mix_tmsv_with_jammer` for arrays of jammer x-moments.
+
+    big_a and disp are the jammer's x-variance A and x-mean a (any matching
+    shapes; B, C and b do not enter the x-quadratures). Returns the receiver
+    port's x-mean and x-variance and the correlation rho of its x record with
+    the kept mode's, whose x-quadrature has mean 0 and variance cosh(2r)/2.
+    """
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    mean_b = math.sqrt(1.0 - eta) * np.asarray(disp, dtype=float)
+    var_b = (1.0 - eta) * np.asarray(big_a, dtype=float) + eta * c / 2.0
+    rho = math.sqrt(eta) * s / (2.0 * np.sqrt(c / 2.0 * var_b))
+    return mean_b, var_b, rho

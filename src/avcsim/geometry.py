@@ -38,6 +38,7 @@ from .gaussian import (
     SYMMETRY_ATOL,
     JammerGaussian,
     mix_tmsv_with_jammer,  # noqa: F401  perfbench traces this module attribute
+    receiver_port_moments,
 )
 
 COORD_SUM_ATOL = 1e-10
@@ -224,8 +225,9 @@ def _check_source(r: float, eta: float) -> None:
 
 
 def _min_symplectic_eigenvalue(big_a: np.ndarray, big_b: np.ndarray, r: float,
-                               eta: float) -> np.ndarray:
-    """Smallest symplectic eigenvalue of mix_tmsv_with_jammer(r, eta, tau), C = 0.
+                               eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest symplectic eigenvalue of mix_tmsv_with_jammer(r, eta, tau), C = 0,
+    and the determinant of its x-block (the homodyne covariance).
 
     The covariance is X (+) P over the x and p quadratures, and the squared
     symplectic eigenvalues are the eigenvalues of X P. They are taken from the
@@ -241,22 +243,19 @@ def _min_symplectic_eigenvalue(big_a: np.ndarray, big_b: np.ndarray, r: float,
     m12 = np.sqrt(det_x) * math.sqrt(eta) * s * u * (big_b - 0.5 * c) / c
     m22 = var_p * det_x / (0.5 * c)
     nu_hi_sq = 0.5 * (m11 + m22) + np.hypot(0.5 * (m11 - m22), m12)
-    return np.sqrt(det_x * det_p / nu_hi_sq)
+    return np.sqrt(det_x * det_p / nu_hi_sq), det_x
 
 
 def _quadrant_arrays(big_a: np.ndarray, big_b: np.ndarray, disp: np.ndarray,
                      r: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrant laws (N, 2, 2) and x-x correlations of the mixed states."""
-    if not np.all(_min_symplectic_eigenvalue(big_a, big_b, r, eta) >= 0.5 - PHYSICALITY_ATOL):
+    nu_min, det_x = _min_symplectic_eigenvalue(big_a, big_b, r, eta)
+    if not np.all(nu_min >= 0.5 - PHYSICALITY_ATOL):
         raise ValueError("mixed state violates the uncertainty principle")
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    var_b = (1.0 - eta) * big_a + eta * c / 2.0
-    # determinant of the homodyne covariance [[c/2, k], [k, var_b]], k^2 = eta s^2 / 4
-    if not np.all((var_b > 0.0) & (0.5 * c * (1.0 - eta) * big_a + 0.25 * eta > 1e-14)):
+    mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
+    if not np.all((var_b > 0.0) & (det_x > 1e-14)):
         raise ValueError("homodyne covariance must be positive definite (nondegenerate)")
-    rho = math.sqrt(eta) * s / (2.0 * np.sqrt(c / 2.0 * var_b))
-    b = math.sqrt(1.0 - eta) * disp / np.sqrt(var_b)
-    return quadrant_laws(b, rho), rho
+    return quadrant_laws(mean_b / np.sqrt(var_b), rho), rho
 
 
 def _barycentric_arrays(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,10 +30,11 @@ from .bivariate import (
     BinaryJointDist,
     quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
     quadrant_laws,
-    std_normal_cdf,
+    std_normal_cdf,  # noqa: F401  perfbench traces this module attribute
+    std_normal_cdf_array,
 )
 from .channels import ChannelTable, binary_entropy
-from .gaussian import JammerGaussian
+from .gaussian import JammerGaussian, _require_finite, receiver_port_moments
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,7 +61,6 @@ __all__ = [
     "run_cr_phase",
     "run_data_phase",
     "random_codebook",
-    "hamming_decoder",
     "schedule_set_decoder",
     "evaluate_code_error_exact",
     "symmetrizing_attack_error",
@@ -78,11 +78,6 @@ def jammer_state_for_symbol(s: int, alpha: float) -> JammerGaussian:
         half = 0.5 * (2.0 * alpha * alpha + 1.0)
         return JammerGaussian(A=half, B=half)
     raise ValueError(f"jammer symbol must be 0, 1 or 2, got {s}")
-
-
-def _require_finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _require_integer(name: str, value) -> None:
@@ -108,13 +103,13 @@ class JammerStrategy:
         if self.kind not in ("symbols", "gaussian", "worst_of"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "symbols":
+            for s in self.symbols:
+                _require_integer("jammer symbol", s)
             if not self.symbols or any(s not in (0, 1, 2) for s in self.symbols):
                 raise ValueError("symbol schedules need a nonempty tuple over {0,1,2}")
+            object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
         if self.kind == "gaussian" and not self.states:
             raise ValueError("gaussian schedules need at least one state")
-        for t in self.states:
-            for name in ("A", "B", "C", "a", "b"):
-                _require_finite(f"jammer state {name}", getattr(t, name))
         if self.kind == "worst_of":
             if len(self.options) < 1:
                 raise ValueError("worst_of needs at least one option")
@@ -132,7 +127,7 @@ class JammerStrategy:
 
     @classmethod
     def from_symbols(cls, symbols: Sequence[int], label: str = "") -> "JammerStrategy":
-        return cls(kind="symbols", symbols=tuple(int(s) for s in symbols), label=label)
+        return cls(kind="symbols", symbols=tuple(symbols), label=label)
 
     @classmethod
     def from_states(cls, states: Sequence[JammerGaussian], label: str = "") -> "JammerStrategy":
@@ -356,37 +351,39 @@ def _rng(master_seed: int, strategy_idx: int, trial: int, tag: int) -> np.random
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _bpsk_law(big_a: np.ndarray, disp: np.ndarray, alpha: float,
+              eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Homodyne law of the receiver quadrature for BPSK input x (0 -> +alpha).
+
+    Returns mean[i, x] and sd[i] under round i's jammer x-moments (A, a).
+    """
+    shift = math.sqrt(1.0 - eta) * disp
+    mean = math.sqrt(2.0 * eta) * alpha * np.array([1.0, -1.0]) + shift[:, None]
+    return mean, np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
+
+
 def _bpsk_outputs(x: np.ndarray, big_a: np.ndarray, disp: np.ndarray,
                   alpha: float, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Receiver bit per round for BPSK inputs x (0 -> +alpha): 0 iff quadrature >= 0."""
-    mean = math.sqrt(eta) * math.sqrt(2.0) * alpha * (1.0 - 2.0 * x)
-    mean = mean + math.sqrt(1.0 - eta) * disp
-    sd = np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
-    quad = mean + sd * rng.standard_normal(x.shape)
+    """Receiver bit per round for BPSK inputs x in {0, 1}: 0 iff quadrature >= 0."""
+    mean, sd = _bpsk_law(big_a, disp, alpha, eta)
+    quad = mean[np.arange(x.shape[0]), x] + sd * rng.standard_normal(x.shape)
     return (quad < 0.0).astype(np.int64)
 
 
 def _pair_outputs(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
                   rng: np.random.Generator, source: str) -> tuple[np.ndarray, np.ndarray]:
     """Sign bits (u, v), 1 for a nonnegative quadrature, for the entangled symbol."""
-    c_r = math.cosh(2.0 * r)
-    etap = 1.0 - eta
     n_rounds = big_a.shape[0]
     z1 = rng.standard_normal(n_rounds)
     z2 = rng.standard_normal(n_rounds)
-    mean_b = math.sqrt(etap) * disp
-    var_b = etap * big_a + eta * c_r / 2.0
+    mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
     if source == "thermal":
         # unentangled substitute: same receiver marginal, sender tosses a coin
         u = rng.integers(0, 2, size=n_rounds, dtype=np.int64)
         quad_b = mean_b + np.sqrt(var_b) * z2
         return u, (quad_b >= 0.0).astype(np.int64)
-    s_r = math.sinh(2.0 * r)
-    sd_a = math.sqrt(c_r / 2.0)
-    rho = math.sqrt(eta) * s_r / np.sqrt(2.0 * c_r * var_b)
-    quad_a = sd_a * z1
     quad_b = mean_b + np.sqrt(var_b) * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2)
-    return (quad_a >= 0.0).astype(np.int64), (quad_b >= 0.0).astype(np.int64)
+    return (z1 >= 0.0).astype(np.int64), (quad_b >= 0.0).astype(np.int64)
 
 
 # --- receiver-side channel models --------------------------------------------
@@ -396,19 +393,11 @@ def _pair_outputs(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
 # deterministic function of the config, so decoding stays reproducible.
 
 
-def _normal_cdf_per_distinct(z: np.ndarray) -> np.ndarray:
-    """std_normal_cdf elementwise, called once per distinct value of z."""
-    uniq, inverse = np.unique(z, return_inverse=True)
-    return np.array([std_normal_cdf(v) for v in uniq.tolist()])[inverse.reshape(z.shape)]
-
-
 def _bpsk_flip_table(big_a: np.ndarray, disp: np.ndarray,
                      alpha: float, eta: float) -> np.ndarray:
     """p1[i, x] = P(y = 1 | x) per round, from the homodyne quadrature law."""
-    sd = np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
-    shift = math.sqrt(1.0 - eta) * disp
-    mean = math.sqrt(2.0 * eta) * alpha * np.array([1.0, -1.0]) + shift[:, None]
-    return _normal_cdf_per_distinct(-mean / sd[:, None])
+    mean, sd = _bpsk_law(big_a, disp, alpha, eta)
+    return std_normal_cdf_array(-mean / sd[:, None])
 
 
 def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
@@ -420,19 +409,16 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
     source keeps the receiver marginal but carries no correlation: the
     sender's bit is an independent coin.
     """
-    c_r = math.cosh(2.0 * config.squeezing)
-    s_r = math.sinh(2.0 * config.squeezing)
-    etap = 1.0 - config.eta
     keys, inverse = np.unique(np.column_stack([big_a, disp]), axis=0, return_inverse=True)
-    var_b = etap * keys[:, 0] + config.eta * c_r / 2.0
-    b = math.sqrt(etap) * keys[:, 1] / np.sqrt(var_b)
+    mean_b, var_b, rho = receiver_port_moments(keys[:, 0], keys[:, 1], config.squeezing,
+                                               config.eta)
+    b = mean_b / np.sqrt(var_b)
     if config.source == "thermal":
-        pv1 = _normal_cdf_per_distinct(b)
+        pv1 = std_normal_cdf_array(b)
         table = np.empty((keys.shape[0], 2, 2))
         table[:, :, 0] = 0.5 * (1.0 - pv1)[:, None]
         table[:, :, 1] = 0.5 * pv1[:, None]
     else:
-        rho = (math.sqrt(config.eta) * s_r / 2.0) / np.sqrt(c_r / 2.0 * var_b)
         table = quadrant_laws(b, rho)
     return table[inverse.reshape(-1)]
 
@@ -505,7 +491,7 @@ def sample_round(x: int, jammer, alpha: float, rng: np.random.Generator,
     big_a = np.array([tau.A])
     disp = np.array([tau.a])
     if x in (0, 1):
-        y = _bpsk_outputs(np.array([float(x)]), big_a, disp, alpha, eta, rng)
+        y = _bpsk_outputs(np.array([x]), big_a, disp, alpha, eta, rng)
         return int(y[0]), None
     if x != 2:
         raise ValueError(f"sender symbol must be 0, 1 or 2, got {x}")
@@ -524,10 +510,6 @@ def run_correlation_phase(rounds: int, strategy: JammerStrategy, config: SimConf
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     big_a, disp = strategy.round_params(rounds, config.alpha)
     return _pair_outputs(big_a, disp, config.squeezing, config.eta, rng, config.source)
-
-
-def _slot_layout(rounds: int, n_slots: int) -> np.ndarray:
-    return np.arange(rounds) % n_slots
 
 
 def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
@@ -554,11 +536,11 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
             f"{rounds} rounds cannot carry {len(seed_bits)} seed bits with both mask phases"
         )
     frame = np.concatenate([seed_bits, [seed_bits.sum() % 2]])
-    slots = _slot_layout(rounds, n_slots)
+    slots = np.arange(rounds) % n_slots
     masks = (np.arange(rounds) // n_slots) % 2
     x = frame[slots] ^ masks ^ u_bits[:rounds]
     big_a, disp = strategy.round_params(rounds, config.alpha, config.k // 2)
-    y = _bpsk_outputs(x.astype(float), big_a, disp, config.alpha, config.eta, rng)
+    y = _bpsk_outputs(x, big_a, disp, config.alpha, config.eta, rng)
     votes = y ^ masks ^ v_bits[:rounds]
     idx = np.arange(rounds)
     best_total = -np.inf
@@ -606,11 +588,6 @@ def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx
     hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
     gen = np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
     return gen.integers(0, 2, size=(n_messages, length), dtype=np.int64)
-
-
-def hamming_decoder(codebook: np.ndarray, y: np.ndarray) -> int:
-    """Index of the codeword nearest in Hamming distance; ties to the lowest index."""
-    return int(np.argmin((codebook != y).sum(axis=1)))
 
 
 def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
@@ -663,7 +640,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
                                   trial, sender_seed, block)
         x = cb_send[m]
         y = _bpsk_outputs(
-            x.astype(float),
+            x,
             big_a[pos_rounds : pos_rounds + length],
             disp[pos_rounds : pos_rounds + length],
             config.alpha, config.eta, rng,

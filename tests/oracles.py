@@ -144,6 +144,11 @@ def repetition_majority_error(n_rep: int, t: float) -> float:
     return 0.5 * (err_given_0 + err_given_1)
 
 
+def hamming_decoder(codebook: np.ndarray, y: np.ndarray) -> int:
+    """Index of the codeword nearest in Hamming distance; ties to the lowest index."""
+    return int(np.argmin((codebook != y).sum(axis=1)))
+
+
 def random_physical_cov(rng: np.random.Generator, n_modes: int) -> np.ndarray:
     """A random valid covariance: M M^T + I/2 is physical for any real M."""
     m = rng.standard_normal((2 * n_modes, 2 * n_modes)) * 0.7

@@ -72,6 +72,11 @@ def test_channel_table_validation_and_accessors():
         ChannelTable((0,), (0, 1), (0, 1), [[[1.1, -0.1], [0.5, 0.5]]])
     with pytest.raises(ValueError, match="sum to 1"):
         ChannelTable((0,), (0, 1), (0, 1), [[[0.6, 0.6], [0.5, 0.5]]])
+    with pytest.raises(ValueError, match="at least one"):
+        ChannelTable((), (0, 1), (0, 1), np.zeros((0, 2, 2)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="nonnegative|sum to 1"):
+            ChannelTable((0,), (0, 1), (0, 1), [[[0.5, 0.5], [0.5, bad]]])
     tab = bsc_table(0.2, n_states=3)
     assert tab.prob(1, 2, 0) == pytest.approx(0.2)
     sub = tab.restrict(states=(0, 2))

@@ -94,6 +94,14 @@ def test_symmetrize_input_errors(tmp_path, capsys):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"states": [0]}))
     assert main(["symmetrize", str(incomplete)]) == 2
+    for value in (float("nan"), float("inf")):
+        data = avc_kernel(1.0).to_json_dict()
+        data["w"][0][1][0] = value
+        non_finite = tmp_path / "non_finite.json"
+        non_finite.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["symmetrize", str(non_finite)]) == 2
+        assert capsys.readouterr().err.startswith("bad channel file:")
 
 
 def test_simulate_writes_report_bundle(tmp_path, capsys):
@@ -169,6 +177,31 @@ def test_simulate_rejects_bad_field_with_exit_2(field, value, tmp_path, capsys):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"bad config: {field} must be")
+    assert not (tmp_path / "run").exists()
+
+
+# jammer entries that `simulate` must refuse up front with exit code 2, and the
+# start of the message it gives
+BAD_JAMMERS = [
+    ({"kind": "symbols", "symbols": [0, 1.5]}, "jammer symbol must be an integer"),
+    ({"kind": "symbols", "symbols": [0, True]}, "jammer symbol must be an integer"),
+    ({"kind": "symbols", "symbols": [2.0]}, "jammer symbol must be an integer"),
+    ({"kind": "gaussian", "states": [{"A": 0.5, "B": 0.5, "a": float("nan")}]},
+     "jammer state a must be a finite number"),
+    ({"kind": "gaussian", "states": [{"A": float("inf"), "B": 0.5}]},
+     "jammer state A must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("jammer,message", BAD_JAMMERS,
+                         ids=[json.dumps(j) for j, _ in BAD_JAMMERS])
+def test_simulate_rejects_bad_jammer_with_exit_2(jammer, message, tmp_path, capsys):
+    data = json.loads(_sim_config_file(tmp_path).read_text())
+    data["jammer"] = jammer
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"bad config: {message}")
     assert not (tmp_path / "run").exists()
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from avcsim.bivariate import correlation_coefficient, homodyne_xx
 from avcsim.gaussian import (
     GaussianState,
     JammerGaussian,
@@ -16,6 +17,7 @@ from avcsim.gaussian import (
     mix_tmsv_with_jammer,
     omega,
     partial_trace,
+    receiver_port_moments,
     symplectic_eigenvalues,
     tensor,
     thermal_state,
@@ -170,6 +172,11 @@ def test_jammer_validation_and_energy_accounting():
         JammerGaussian(A=-0.5, B=1.0)
     with pytest.raises(ValueError):
         JammerGaussian(A=1.0, B=1.0, C=0.9)
+    for name in ("A", "B", "C", "a", "b"):
+        for value in (math.nan, math.inf, -math.inf, True):
+            fields = {"A": 0.5, "B": 0.5, "C": 0.0, "a": 0.0, "b": 0.0, name: value}
+            with pytest.raises(ValueError, match=f"^jammer state {name} must be a finite number"):
+                JammerGaussian(**fields)
     vac = JammerGaussian(A=0.5, B=0.5)
     assert vac.mean_photons == pytest.approx(0.0, abs=1e-14)
     coh = JammerGaussian(A=0.5, B=0.5, a=math.sqrt(2.0))
@@ -177,6 +184,37 @@ def test_jammer_validation_and_energy_accounting():
     th = JammerGaussian(A=1.5, B=1.5)
     assert th.mean_photons == pytest.approx(1.0, abs=1e-14)
     assert mean_photon_number(th.to_state()) == pytest.approx(1.0, abs=1e-14)
+
+
+def _random_jammers(rng, count):
+    out = []
+    for _ in range(count):
+        big_a = rng.uniform(0.3, 3.0)
+        big_b = rng.uniform(0.25 / big_a + 0.05, 3.0)
+        cmax = math.sqrt(big_a * big_b - 0.25)
+        out.append(JammerGaussian(A=big_a, B=big_b, C=rng.uniform(-0.9, 0.9) * cmax,
+                                  a=rng.normal(0, 1.5), b=rng.normal(0, 1.5)))
+    return out
+
+
+@pytest.mark.parametrize("r, eta", [(None, None), (0.0, None), (None, 0.0), (None, 1.0),
+                                    (0.0, 0.0), (0.0, 1.0)])
+def test_receiver_port_moments_match_the_mixed_state(r, eta):
+    """The array helper is the x-block of mix_tmsv_with_jammer, state by state."""
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        r_i = rng.uniform(0.0, 2.0) if r is None else r
+        eta_i = rng.uniform(0.0, 1.0) if eta is None else eta
+        taus = _random_jammers(rng, 8)
+        mean_b, var_b, rho = receiver_port_moments(
+            np.array([t.A for t in taus]), np.array([t.a for t in taus]), r_i, eta_i)
+        assert mean_b.shape == var_b.shape == rho.shape == (8,)
+        for i, tau in enumerate(taus):
+            biv = homodyne_xx(mix_tmsv_with_jammer(r_i, eta_i, tau))
+            assert biv.mean[0] == 0.0
+            assert abs(mean_b[i] - biv.mean[1]) <= 1e-12
+            assert abs(var_b[i] - biv.cov[1, 1]) <= 1e-12
+            assert abs(rho[i] - correlation_coefficient(biv)) <= 1e-12
 
 
 def test_mixing_with_vacuum_jammer_keeps_state_physical_any_eta():

@@ -15,7 +15,6 @@ from avcsim.protocol import (
     SimConfig,
     canonical_schedules,
     evaluate_code_error_exact,
-    hamming_decoder,
     jammer_state_for_symbol,
     random_codebook,
     run_correlation_phase,
@@ -37,7 +36,7 @@ from avcsim.protocol import (
     _vote_logliks,
 )
 
-from oracles import repetition_majority_error
+from oracles import hamming_decoder, repetition_majority_error
 
 
 def test_jammer_state_for_symbol():
@@ -67,6 +66,10 @@ def test_strategy_validation_and_labels():
         JammerStrategy.from_symbols(())
     with pytest.raises(ValueError):
         JammerStrategy.from_symbols((0, 7))
+    for bad in ((0, 1.5), (0, 1.0), (0, True), ("0",)):
+        with pytest.raises(ValueError, match="^jammer symbol must be an integer"):
+            JammerStrategy.from_symbols(bad)
+    assert JammerStrategy.from_symbols(np.array([0, 2])).symbols == (0, 2)
     with pytest.raises(ValueError):
         JammerStrategy.from_states([])
     with pytest.raises(ValueError):
@@ -159,17 +162,19 @@ def test_sim_config_json_round_trip():
 
 
 def test_bpsk_sampler_matches_kernel_crossover():
-    # matched jammer letter: flip rate = p; thermal letter: p_tilde
+    # matched jammer letter: flip rate = p; thermal letter: p_tilde; at
+    # eta = 1/2 the opposing letter cancels the signal: flip rate 1/2
     p, pt = crossover_probs(1.0)
     n = 200_000
     rng = np.random.default_rng(61)
-    for letter, expected in ((0, p), (2, pt)):
+    for x, letter, expected in ((0, 0, p), (0, 2, pt), (1, 1, p), (1, 2, pt),
+                                (0, 1, 0.5), (1, 0, 0.5)):
         tau = jammer_state_for_symbol(letter, 1.0)
         big_a = np.full(n, tau.A)
         disp = np.full(n, tau.a)
-        y = _bpsk_outputs(np.zeros(n), big_a, disp, 1.0, 0.5, rng)
+        y = _bpsk_outputs(np.full(n, x), big_a, disp, 1.0, 0.5, rng)
         sigma = math.sqrt(expected * (1 - expected) / n)
-        assert abs(y.mean() - expected) <= 4 * sigma + 1e-9
+        assert abs((y != x).mean() - expected) <= 4 * sigma + 1e-9, (x, letter)
 
 
 def test_pair_sampler_matches_quadrant_law():
