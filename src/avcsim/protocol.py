@@ -242,6 +242,10 @@ class SimConfig:
             raise ValueError("k must be even (split between two side phases)")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        if self.rate > 1:
+            # a binary-input channel carries at most one bit per use; this also
+            # gives every data sub-block at least one round (see _block_plan)
+            raise ValueError("rate must be at most 1 bit per channel use")
         if self.code_mode not in CODE_MODES:
             raise ValueError(f"code_mode must be one of {CODE_MODES}")
         if self.source not in SOURCES:
@@ -566,7 +570,8 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
 
 def _block_plan(rounds: int, rate: float, max_block_bits: int) -> list[tuple[int, int]]:
     """(rounds, message bits) per sub-block, message bits capped at max_block_bits."""
-    cap_rounds = int(max_block_bits / rate)
+    # min() first: a subnormal rate makes the quotient inf
+    cap_rounds = int(min(max_block_bits / rate, rounds))
     plan = []
     done = 0
     while done < rounds:
@@ -580,14 +585,23 @@ def _block_plan(rounds: int, rate: float, max_block_bits: int) -> list[tuple[int
 
 def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx: int,
                     trial: int, seed_bits: np.ndarray, block: int) -> np.ndarray:
-    """Random binary codebook selected by the shared seed bits (and public context)."""
+    """Random binary codebook selected by the shared seed bits (and public context).
+
+    Returns a bool array of shape (n_messages, length). Its stream equals
+    `integers(0, 2, size=(n_messages, length))` on the same Philox key: for
+    a range of 2 numpy's bounded draw is the top bit of one 32-bit word and
+    never rejects, so the bits are read straight from the raw 64-bit output,
+    low 32-bit half first.
+    """
     seed_int = 0
     for b in np.asarray(seed_bits, dtype=np.int64):
         seed_int = (seed_int << 1) | int(b)
     lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | _TAG_CODEBOOK
     hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
-    gen = np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
-    return gen.integers(0, 2, size=(n_messages, length), dtype=np.int64)
+    bits = n_messages * length
+    raw = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw((bits + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<i4")
+    return (words[:bits] < 0).reshape(n_messages, length)
 
 
 def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
@@ -604,6 +618,9 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
     base = ll[:, :, 0].sum(axis=1)
     delta = ll[:, :, 1] - ll[:, :, 0]
+    # exactly tied messages can score apart in the last bit, so the product's
+    # summation order picks among them: row blocks or a contiguous delta.T
+    # change some simulate reports (thermal seed mismatches among them)
     scores = codebook @ delta.T + base[None, :]
     return int(np.argmax(_logsumexp_rows(scores)))
 
@@ -638,7 +655,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
             m = (m << 1) | int(b)
         cb_send = random_codebook(1 << bits, length, config.master_seed, strategy_idx,
                                   trial, sender_seed, block)
-        x = cb_send[m]
+        x = cb_send[m].astype(np.int64)  # a bool row would index the law as a mask
         y = _bpsk_outputs(
             x,
             big_a[pos_rounds : pos_rounds + length],

@@ -4,8 +4,10 @@ Most of this is deliberately independent of the code under test (and of
 math.erf): the error function is evaluated from its Taylor series and a
 Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
-standard errors. The scalar sweep at the end is the per-state route that the
-package's array sweep replaced, kept as its reference.
+standard errors. The int64 codebook draw and decoder are the routes that the
+package's bool codebooks replaced, and the scalar sweep at the end is the
+per-state route that the package's array sweep replaced; each is kept as the
+reference for its replacement.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from avcsim.geometry import (
     _coords_in_shrunken,
     barycentric,
 )
+from avcsim.protocol import _MASK64, _TAG_CODEBOOK
 
 _SQRT_PI = 1.7724538509055160273
 
@@ -147,6 +150,36 @@ def repetition_majority_error(n_rep: int, t: float) -> float:
 def hamming_decoder(codebook: np.ndarray, y: np.ndarray) -> int:
     """Index of the codeword nearest in Hamming distance; ties to the lowest index."""
     return int(np.argmin((codebook != y).sum(axis=1)))
+
+
+def random_codebook_reference(n_messages: int, length: int, master_seed: int,
+                              strategy_idx: int, trial: int, seed_bits: np.ndarray,
+                              block: int) -> np.ndarray:
+    """`protocol.random_codebook` drawn through `Generator.integers(0, 2)` as int64."""
+    seed_int = 0
+    for b in np.asarray(seed_bits, dtype=np.int64):
+        seed_int = (seed_int << 1) | int(b)
+    lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | _TAG_CODEBOOK
+    hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
+    gen = np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
+    return gen.integers(0, 2, size=(n_messages, length), dtype=np.int64)
+
+
+def schedule_set_decoder_reference(codebook: np.ndarray, y: np.ndarray,
+                                   p1: np.ndarray) -> int:
+    """`protocol.schedule_set_decoder` on the codebook cast to int64.
+
+    The scores of exactly tied messages can differ in their last bit, and
+    then the float product's summation order picks the winner; this keeps
+    the int64 product whose picks the pinned simulate outputs record.
+    """
+    p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
+    ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
+    base = ll[:, :, 0].sum(axis=1)
+    delta = ll[:, :, 1] - ll[:, :, 0]
+    scores = np.asarray(codebook, dtype=np.int64) @ delta.T + base[None, :]
+    top = scores.max(axis=1, keepdims=True)
+    return int(np.argmax(top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))))
 
 
 def random_physical_cov(rng: np.random.Generator, n_modes: int) -> np.ndarray:

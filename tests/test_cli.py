@@ -155,7 +155,7 @@ def test_module_entry_point_runs():
 # (field, value) pairs that `simulate` must refuse up front with exit code 2
 BAD_CONFIG_FIELDS = [
     ("alpha", float("nan")), ("alpha", float("inf")),
-    ("rate", float("nan")),
+    ("rate", float("nan")), ("rate", 20.0),
     ("eta", float("nan")),
     ("r", float("inf")),
     ("n", 64.5),

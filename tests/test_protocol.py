@@ -36,7 +36,12 @@ from avcsim.protocol import (
     _vote_logliks,
 )
 
-from oracles import hamming_decoder, repetition_majority_error
+from oracles import (
+    hamming_decoder,
+    random_codebook_reference,
+    repetition_majority_error,
+    schedule_set_decoder_reference,
+)
 
 
 def test_jammer_state_for_symbol():
@@ -114,6 +119,7 @@ def test_sim_config_validation():
     jam = canonical_schedules()
     good = dict(alpha=1.0, n=64, k=8, rate=0.2, jammer=jam)
     SimConfig(**good)
+    SimConfig(**dict(good, rate=1.0))
     for bad in (
         dict(good, alpha=0.0),
         dict(good, n=0),
@@ -247,10 +253,68 @@ def test_random_codebook_is_seed_keyed_and_deterministic():
     b = random_codebook(4, 10, 7, 0, 3, seed, 0)
     assert np.array_equal(a, b)
     assert a.shape == (4, 10)
+    assert a.dtype == bool
     c = random_codebook(4, 10, 7, 0, 3, np.array([1, 1, 1], dtype=np.int64), 0)
     assert not np.array_equal(a, c)
     d = random_codebook(4, 10, 7, 0, 3, seed, 1)
     assert not np.array_equal(a, d)
+
+
+# odd bit counts, 511/512/513 rows, the 130-round block both benchmark configs
+# start with, and the 114-round last block of the common-randomness one
+CODEBOOK_SHAPES = [(1, 1), (3, 7), (5, 13), (511, 130), (512, 130), (513, 130),
+                   (4096, 114), (8192, 130)]
+# (master_seed, strategy_idx, trial, seed_bits, block)
+CODEBOOK_KEYS = [
+    (0, 0, 0, np.zeros(0, dtype=np.int64), 0),
+    (20260813, 3, 24, np.array([1], dtype=np.int64), 7),
+    ((1 << 64) - 1, 1, 5, np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.int64), 2),
+]
+
+
+@pytest.mark.parametrize("shape", CODEBOOK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_random_codebook_equals_the_integers_draw(shape):
+    for key in CODEBOOK_KEYS:
+        got = random_codebook(*shape, *key)
+        assert got.dtype == bool and got.shape == shape
+        assert np.array_equal(got.astype(np.int64), random_codebook_reference(*shape, *key))
+
+
+def test_schedule_set_decoder_matches_the_int64_reference():
+    rng = np.random.default_rng(20260814)
+    # (rows, leaves, length, one constant law per leaf)
+    cases = [(rows, leaves, int(rng.integers(1, 131)), False)
+             for rows in (1, 2, 511, 512, 513, 3 * 512 + 1) for leaves in (1, 2, 3, 4)]
+    # constant laws on short blocks make exact ties common; a tie goes to
+    # whichever score the product rounds up, so any change to the product's
+    # summation order changes some of these picks
+    cases += [(rows, 4, 16, True) for rows in (513, 3 * 512 + 1) for _ in range(100)]
+    for rows, leaves, length, constant in cases:
+        if constant:
+            p1 = np.broadcast_to(rng.uniform(0.02, 0.98, (leaves, 1, 2)), (leaves, length, 2))
+        else:
+            p1 = rng.uniform(0.02, 0.98, (leaves, length, 2))
+        bits = rng.integers(0, 2, size=(rows, length))
+        y = rng.integers(0, 2, size=length)
+        want = schedule_set_decoder_reference(bits, y, p1)
+        for dtype in (bool, np.uint8, np.int64):
+            assert schedule_set_decoder(bits.astype(dtype), y, p1) == want
+
+
+@pytest.mark.parametrize("first,second,rows", [(511, 512, 1024), (0, 1536, 3 * 512 + 1)])
+def test_schedule_set_decoder_breaks_an_exact_tie_to_the_lowest_index(first, second, rows):
+    rng = np.random.default_rng(first + second)
+    length = 130
+    codebook = rng.integers(0, 2, size=(rows, length)).astype(bool)
+    y = rng.integers(0, 2, size=length)
+    codebook[[first, second]] = y
+    # two leaves with every crossover below 1/2: the received word itself is
+    # the most likely codeword under both, and it sits at first and second
+    t = rng.uniform(0.05, 0.45, length)
+    p1 = np.empty((2, length, 2))
+    p1[0, :, 0], p1[0, :, 1] = 0.1, 0.9
+    p1[1, :, 0], p1[1, :, 1] = t, 1.0 - t
+    assert schedule_set_decoder(codebook, y, p1) == first
 
 
 def test_block_plan_caps_and_covers():
@@ -258,6 +322,8 @@ def test_block_plan_caps_and_covers():
     assert sum(length for length, _ in plan) == 224
     assert all(bits <= 13 for _, bits in plan)
     assert all(bits == math.ceil(0.1 * length) for length, bits in plan)
+    assert _block_plan(5, 1.0, 1) == [(1, 1)] * 5
+    assert _block_plan(64, 5e-324, 13) == [(64, 1)]  # 13 / rate overflows to inf
 
 
 def test_run_correlation_phase_counts():
@@ -415,7 +481,7 @@ _GOOD_JSON = SimConfig(alpha=1.0, n=64, k=8, rate=0.2, jammer=canonical_schedule
 # (field, value) pairs that `SimConfig` must reject before any simulation work
 BAD_FIELDS = [
     ("alpha", math.nan), ("alpha", math.inf),
-    ("rate", math.nan), ("rate", math.inf),
+    ("rate", math.nan), ("rate", math.inf), ("rate", 20.0),
     ("eta", math.nan),
     ("r", math.nan), ("r", math.inf),
     ("n", 64.5), ("n", True),
