@@ -57,8 +57,10 @@ __all__ = [
     "quadrant_distribution",
     "quadrant_laws",
     "binarized_correlation",
+    "binarized_correlation_array",
     "arcsine_law",
     "mutual_information_bits",
+    "mutual_information_bits_array",
 ]
 
 
@@ -306,4 +308,45 @@ def mutual_information_bits(q: BinaryJointDist) -> float:
     for uv, p in cells.items():
         if p > 0.0:
             total += p * math.log2(p / marg[uv])
+    return total
+
+
+def _marginals_array(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BinaryJointDist.marginal_first and marginal_second of (N, 2, 2) laws."""
+    return q[:, 1, 0] + q[:, 1, 1], q[:, 0, 1] + q[:, 1, 1]
+
+
+def binarized_correlation_array(q: np.ndarray) -> np.ndarray:
+    """binarized_correlation of (N, 2, 2) laws, in its operation order, bit for bit.
+
+    Raises its ValueError when any row has a deterministic bit (or is NaN).
+    """
+    pu, pv = _marginals_array(q)
+    var_u, var_v = pu * (1.0 - pu), pv * (1.0 - pv)
+    if not np.all((var_u > 0.0) & (var_v > 0.0)):
+        raise ValueError("binarized correlation undefined for a deterministic bit")
+    return (q[:, 1, 1] - pu * pv) / np.sqrt(var_u * var_v)
+
+
+def mutual_information_bits_array(q: np.ndarray) -> np.ndarray:
+    """mutual_information_bits of (N, 2, 2) laws, in its operation order, bit for bit.
+
+    The logarithms are math.log2's, which numpy's vectorised log2 need not
+    match in the last bit. Rows need both marginals strictly inside (0, 1),
+    as binarized_correlation_array checks.
+    """
+    pu, pv = _marginals_array(q)
+    cells = q.reshape(-1, 4)
+    marg = np.stack([(1.0 - pu) * (1.0 - pv), (1.0 - pu) * pv, pu * (1.0 - pv), pu * pv],
+                    axis=-1)
+    live = cells > 0.0
+    ratio = np.divide(cells, marg, out=np.ones_like(cells), where=live)
+    logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), dtype=float,
+                       count=ratio.size).reshape(ratio.shape)
+    terms = np.where(live, cells * logs, 0.0)
+    # skipped cells add +0.0, which leaves the running sum unchanged: it starts
+    # at +0.0 and so is never -0.0
+    total = np.zeros(len(cells))
+    for k in range(4):
+        total += terms[:, k]
     return total

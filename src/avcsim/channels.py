@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -263,62 +262,96 @@ def average_crossover(table: ChannelTable, atol: float = BSC_ATOL) -> Optional[f
 def _phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """Nonnegative solution of A z = b, or None when infeasible.
 
-    Runs in exact rational arithmetic. The kernel tables mix entries eight
-    orders of magnitude apart (erfc(4) next to 1/2) and float pivoting on the
-    tiny ones corrupts the tableau enough to lose feasible instances.
+    Runs in exact arithmetic. The kernel tables mix entries eight orders of
+    magnitude apart (erfc(4) next to 1/2) and float pivoting on the tiny ones
+    corrupts the tableau enough to lose feasible instances.
+
+    The tableau is integer-preserving. Every float is dyadic, so A and b
+    scale to integers by their largest power-of-two denominator `den`, and
+    each stored row (the objective row too) is a positive multiple of its
+    rational row: a pivot on p sets another row x to p x - f y, divided by
+    the gcd of its entries so that no row grows more than its content needs.
+    Positive multiples and the scaling of the artificial variables by den
+    keep every sign and every ratio comparison, so Bland's entering column
+    and the ratio test make the same pivots as a rational tableau, and a
+    basic value rhs / (its basic entry) rounds like the rational value it
+    stands for.
     """
     m, n = a_mat.shape
-    one, zero = Fraction(1), Fraction(0)
-    rows = [[Fraction(x) for x in row] for row in a_mat]
-    rhs = [Fraction(x) for x in b_vec]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
+    ratios = [[x.as_integer_ratio() for x in row] for row in a_mat.tolist()]
+    rhs_ratios = [x.as_integer_ratio() for x in b_vec.tolist()]
+    den = max(d for row in (*ratios, rhs_ratios) for _, d in row)
     # tableau columns: n structural, m artificial, then the rhs
-    tab = [rows[i] + [one if k == i else zero for k in range(m)] + [rhs[i]] for i in range(m)]
+    tab = []
+    for i in range(m):
+        row = [num * (den // d) for num, d in ratios[i]]
+        row += [1 if k == i else 0 for k in range(m)]
+        num, d = rhs_ratios[i]
+        row.append(num * (den // d))
+        if row[-1] < 0:
+            row[:n] = [-x for x in row[:n]]
+            row[-1] = -row[-1]
+        tab.append(row)
+    # maintained phase-1 objective row (minimise the artificial sum)
+    obj = [sum(col) for col in zip(*tab)]
+    for k in range(n, n + m):
+        obj[k] -= 1
     basis = list(range(n, n + m))
     for _ in range(20000):
-        reduced = [-one if j >= n else zero for j in range(n + m)]
-        for i, bi in enumerate(basis):
-            if bi >= n:
-                row = tab[i]
-                reduced = [r + x for r, x in zip(reduced, row[:-1])]
         enter = -1
         for j in range(n + m):  # Bland: first improving column
-            if reduced[j] > 0 and j not in basis:
+            if obj[j] > 0 and j not in basis:
                 enter = j
                 break
         if enter < 0:
             break
-        best_i, best_ratio = -1, None
+        best_i = -1
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best_i < 0 or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[best_i]
-                ):
-                    best_i, best_ratio = i, ratio
+            f = tab[i][enter]
+            if f > 0:
+                # ratio tab[i][-1] / f against the best, cross-multiplied
+                if best_i < 0:
+                    best_i, best_num, best_den = i, tab[i][-1], f
+                    continue
+                lhs, rhs = tab[i][-1] * best_den, best_num * f
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_i]):
+                    best_i, best_num, best_den = i, tab[i][-1], f
         if best_i < 0:
             raise LpNumericalError("phase-1 objective unbounded; inconsistent tableau")
-        piv = tab[best_i][enter]
-        tab[best_i] = [x / piv for x in tab[best_i]]
         pivot_row = tab[best_i]
         for i in range(m):
-            factor = tab[i][enter]
-            if i != best_i and factor != 0:
-                tab[i] = [x - factor * y for x, y in zip(tab[i], pivot_row)]
+            if i != best_i:
+                tab[i] = _eliminate(tab[i], pivot_row, enter)
+        obj = _eliminate(obj, pivot_row, enter)
         basis[best_i] = enter
     else:
         raise LpNumericalError("phase-1 simplex hit the iteration cap")
-    residual_obj = sum(tab[i][-1] for i, bi in enumerate(basis) if bi >= n)
-    if residual_obj > Fraction(tol):
+    # the artificial sum num / den_sum, each term rhs / (basic entry), is den
+    # times the unscaled one; compare it with tol exactly
+    num, den_sum = 0, 1
+    for i, bi in enumerate(basis):
+        if bi >= n:
+            num, den_sum = num * tab[i][bi] + tab[i][-1] * den_sum, den_sum * tab[i][bi]
+    tol_num, tol_den = float(tol).as_integer_ratio()
+    if num * tol_den > tol_num * den * den_sum:
         return None
     z = np.zeros(n)
     for i, bi in enumerate(basis):
         if bi < n:
-            z[bi] = float(tab[i][-1])
+            z[bi] = tab[i][-1] / tab[i][bi]
     return np.maximum(z, 0.0)
+
+
+def _eliminate(row: list, pivot_row: list, enter: int) -> list:
+    """A positive multiple of row with its `enter` entry eliminated by pivot_row,
+    divided by the gcd of its entries; pivot_row[enter] must be positive."""
+    f = row[enter]
+    if f == 0:
+        return row
+    piv = pivot_row[enter]
+    new = [piv * x - f * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
 
 def symmetrization_residual(table: ChannelTable, u: np.ndarray) -> float:
@@ -335,13 +368,8 @@ def symmetrization_residual(table: ChannelTable, u: np.ndarray) -> float:
     return worst
 
 
-def symmetrizability_lp(table: ChannelTable) -> Optional[np.ndarray]:
-    """Symmetrizing strategy u[x, s] = u(s | x) if one exists, else None.
-
-    Feasibility is decided by a phase-1 simplex; a returned witness is
-    re-checked against the defining equalities, and a witness that fails the
-    recheck raises LpNumericalError instead of being reported either way.
-    """
+def _symmetrizing_system(table: ChannelTable) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) whose nonnegative solutions z = u.ravel() symmetrize the table."""
     nx, ns, ny = len(table.inputs), len(table.states), len(table.outputs)
     nvar = nx * ns
     rows = []
@@ -359,10 +387,20 @@ def symmetrizability_lp(table: ChannelTable) -> Optional[np.ndarray]:
         row[xi * ns : (xi + 1) * ns] = 1.0
         rows.append(row)
         rhs.append(1.0)
-    z = _phase1_simplex(np.array(rows), np.array(rhs), LP_FEAS_TOL)
+    return np.array(rows), np.array(rhs)
+
+
+def symmetrizability_lp(table: ChannelTable) -> Optional[np.ndarray]:
+    """Symmetrizing strategy u[x, s] = u(s | x) if one exists, else None.
+
+    Feasibility is decided by a phase-1 simplex; a returned witness is
+    re-checked against the defining equalities, and a witness that fails the
+    recheck raises LpNumericalError instead of being reported either way.
+    """
+    z = _phase1_simplex(*_symmetrizing_system(table), LP_FEAS_TOL)
     if z is None:
         return None
-    u = z.reshape(nx, ns)
+    u = z.reshape(len(table.inputs), len(table.states))
     if symmetrization_residual(table, u) > WITNESS_ATOL:
         raise LpNumericalError("feasible point failed the witness recheck")
     return u

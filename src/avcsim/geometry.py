@@ -18,18 +18,16 @@ is made on the whole block, and fails on NaN.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .bivariate import (
     BinaryJointDist,
-    binarized_correlation,
-    mutual_information_bits,
+    binarized_correlation_array,
+    mutual_information_bits_array,
     quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
     quadrant_laws,
 )
@@ -48,11 +46,13 @@ AFFINE_HULL_ATOL = 1e-8
 # Points per evaluation block. The quadrant kernel holds (points x 20 nodes)
 # temporaries, so blocks keep each near 0.3 MB however large the grid is.
 _BLOCK = 2048
+# Rows per sweep_to_csv write: about 0.1 MB of text.
+_CSV_ROWS = 512
 
 __all__ = [
     "SimplexCoords",
     "EnergyBudget",
-    "SweepPoint",
+    "SweepColumns",
     "vertices",
     "from_barycentric",
     "barycentric",
@@ -60,7 +60,6 @@ __all__ = [
     "default_squeezing",
     "jammer_grid",
     "sweep_records",
-    "correlation_set_sweep",
     "compute_delta_star",
     "sweep_to_csv",
     "CSV_COLUMNS",
@@ -157,8 +156,9 @@ def default_squeezing(budget: EnergyBudget) -> float:
     return math.asinh(budget.alpha)
 
 
-def _grid_arrays(budget: EnergyBudget, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, a) of the jammer grid, in jammer_grid's order; see there."""
+def _grid_candidates(budget: EnergyBudget,
+                     resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, a) of the anchors and every grid row, duplicates included."""
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     e = budget.alpha_sq
@@ -178,11 +178,48 @@ def _grid_arrays(budget: EnergyBudget, resolution: int) -> tuple[np.ndarray, np.
     cand_a = np.concatenate([[0.5, 0.5, 0.5, thermal], rows])
     cand_b = np.concatenate([[0.5, 0.5, 0.5, thermal], 0.25 / rows])
     cand_d = np.concatenate([[0.0, edge, -edge, 0.0], disp[keep]])
-    # first occurrence of each (A, a) rounded to 12 digits, as Python's round does
-    keys = list(zip(map(round, cand_a.tolist(), repeat(12)),
-                    map(round, cand_d.tolist(), repeat(12))))
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    idx = np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
+    return cand_a, cand_b, cand_d
+
+
+def _near_chains(values: np.ndarray) -> np.ndarray:
+    """Label of each value's chain of sorted neighbours less than 2e-12 apart.
+
+    Doubles x, y with round(x, 12) == round(y, 12) lie in one chain: each is
+    within 0.5e-12 of its 12-digit decimal, and those decimals round to one
+    double K, so |x - y| <= 1e-12 + ulp(K). Where ulp(K) <= 2^-40 that is
+    below 2e-12; where the doubles are 2^-39 or more apart, round(x, 12) is
+    x itself and distinct doubles never share a key.
+    """
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(values.size, dtype=np.int64)
+    labels[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) >= 2e-12)))
+    return labels
+
+
+def _first_of_each_key(cand_a: np.ndarray, cand_d: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the first candidate of each (round(A, 12), round(a, 12)) key.
+
+    Equal keys need both coordinates in one near chain, so Python's round is
+    taken only for candidates that share their pair of chains with another;
+    every other candidate holds a key of its own.
+    """
+    group = _near_chains(cand_a) * cand_a.size + _near_chains(cand_d)
+    _, inverse, counts = np.unique(group, return_inverse=True, return_counts=True)
+    keep = np.ones(cand_a.size, dtype=bool)
+    seen = set()
+    for i in np.flatnonzero(counts[inverse] > 1).tolist():
+        key = (round(float(cand_a[i]), 12), round(float(cand_d[i]), 12))
+        if key in seen:
+            keep[i] = False
+        else:
+            seen.add(key)
+    return np.flatnonzero(keep)
+
+
+def _grid_arrays(budget: EnergyBudget, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, a) of the jammer grid, in jammer_grid's order; see there."""
+    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution)
+    idx = _first_of_each_key(cand_a, cand_d)
     big_a, big_b, disp = cand_a[idx], cand_b[idx], cand_d[idx]
     ok = (big_a > 0.0) & (big_b > 0.0) & (big_a * big_b >= 0.25 - SYMMETRY_ATOL)
     if not np.all(ok):
@@ -205,16 +242,31 @@ def jammer_grid(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
             for x, y, z in zip(big_a.tolist(), big_b.tolist(), disp.tolist())]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One jammer state with its induced sign-bit statistics."""
+@dataclass(frozen=True, eq=False)
+class SweepColumns:
+    """The correlation-set sweep as columns; row i is jammer state i of the grid.
 
-    jammer: JammerGaussian
-    q: BinaryJointDist
-    coords: SimplexCoords
-    rho: float
-    rho_bin: float
-    mi_bits: float
+    A, B and a are the jammer's x variance, p variance and x displacement
+    (C = b = 0). q[i] is the sign-bit law indexed [u, v], with BinaryJointDist's
+    clamping at 0; lambda_c, lambda_0 and lambda_1 are the barycentric
+    coordinates of the law before that clamping. rho is the x-x correlation
+    of the mixed state, rho_bin and mi_bits the binarized correlation and the
+    mutual information of q.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    a: np.ndarray
+    q: np.ndarray
+    lambda_c: np.ndarray
+    lambda_0: np.ndarray
+    lambda_1: np.ndarray
+    rho: np.ndarray
+    rho_bin: np.ndarray
+    mi_bits: np.ndarray
+
+    def __len__(self) -> int:
+        return self.A.size
 
 
 def _check_source(r: float, eta: float) -> None:
@@ -282,35 +334,19 @@ def _swept_blocks(budget: EnergyBudget, r: float, eta: float,
 
 def sweep_records(
     budget: EnergyBudget, r: float, eta: float = 0.5, resolution: int = 64
-) -> list[SweepPoint]:
-    """Full per-jammer records for the correlation-set sweep."""
+) -> SweepColumns:
+    """Every jammer state of the grid with its sign-bit statistics, as columns."""
     _check_source(r, eta)
     blocks = list(_swept_blocks(budget, r, eta, resolution))
     big_a, big_b, disp, q, rho = (np.concatenate(parts) for parts in zip(*blocks))
-    coords = np.column_stack(_barycentric_arrays(q))
-    out = []
-    for x, y, z, cells, lam, corr in zip(big_a.tolist(), big_b.tolist(), disp.tolist(),
-                                         q.reshape(-1, 4).tolist(), coords.tolist(),
-                                         rho.tolist()):
-        law = BinaryJointDist(*cells)
-        out.append(
-            SweepPoint(
-                jammer=JammerGaussian(A=x, B=y, a=z),
-                q=law,
-                coords=SimplexCoords(*lam),
-                rho=corr,
-                rho_bin=binarized_correlation(law),
-                mi_bits=mutual_information_bits(law),
-            )
-        )
-    return out
-
-
-def correlation_set_sweep(
-    budget: EnergyBudget, r: float, eta: float = 0.5, resolution: int = 64
-) -> list[tuple[JammerGaussian, BinaryJointDist]]:
-    """Quadrant distribution reachable by each jammer state on the energy grid."""
-    return [(p.jammer, p.q) for p in sweep_records(budget, r, eta, resolution)]
+    lc, l0, l1 = _barycentric_arrays(q)
+    # BinaryJointDist's checks and its max(0.0, v), which also turns -0.0 into 0.0
+    total = q[:, 0, 0] + q[:, 0, 1] + q[:, 1, 0] + q[:, 1, 1]
+    if not np.all(np.abs(total - 1.0) <= 1e-9):
+        raise ValueError("a swept law does not sum to 1")
+    law = np.where(q > 0.0, q, 0.0)
+    return SweepColumns(big_a, big_b, disp, law, lc, l0, l1, rho,
+                        binarized_correlation_array(law), mutual_information_bits_array(law))
 
 
 def _margin(lc: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
@@ -338,12 +374,14 @@ def _largest_delta(budget: EnergyBudget, r: float, eta: float, resolution: int) 
 
 
 def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> float:
-    """Containment margin delta* of the swept correlation set.
+    """Containment margin delta* of the swept correlation set, as a grid estimate.
 
     At each grid resolution the margin is the closed-form largest delta that
     keeps every swept point in the shrunken triangle (no search); the
     resolution doubles from 16 until the answer moves by less than 1e-4, or
-    reaches 512. The margin is positive for r > 0 and, at fixed r, shrinks as
+    reaches 512. The value returned is that grid's margin: a minimum over a
+    subset of the jammer region, so an upper bound on the continuous margin
+    (at alpha = 1 a dense scan of the energy boundary is lower by 1.5e-5). The margin is positive for r > 0 and, at fixed r, shrinks as
     the jammer budget grows: a larger budget only adds jammer states. With
     r = default_squeezing(budget) the sender's squeezing grows with alpha too,
     and the margin is unimodal in alpha: 0.1888, 0.2970, 0.2960, 0.2005 at
@@ -372,16 +410,19 @@ CSV_COLUMNS = (
 )
 
 
-def sweep_to_csv(records: Iterable[SweepPoint], fh: TextIO) -> None:
-    """Write sweep records as CSV with the documented column set."""
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for p in records:
-        writer.writerow(
-            [
-                repr(p.jammer.A), repr(p.jammer.a),
-                repr(p.q.q00), repr(p.q.q01), repr(p.q.q10), repr(p.q.q11),
-                repr(p.coords.lambda_c), repr(p.coords.lambda_0), repr(p.coords.lambda_1),
-                repr(p.rho), repr(p.rho_bin), repr(p.mi_bits),
-            ]
-        )
+def sweep_to_csv(records: SweepColumns, fh: TextIO) -> None:
+    """Write the sweep as CSV with the documented column set, one row per state.
+
+    The bytes are csv.writer's: "\r\n" line ends, and no field is quoted,
+    since a float's repr holds no comma, quote or line break. Rows are
+    formatted and written _CSV_ROWS at a time, so the text held in memory
+    stays small however large the sweep is.
+    """
+    q = records.q
+    columns = (records.A, records.a, q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1],
+               records.lambda_c, records.lambda_0, records.lambda_1,
+               records.rho, records.rho_bin, records.mi_bits)
+    fh.write(",".join(CSV_COLUMNS) + "\r\n")
+    for lo in range(0, len(records), _CSV_ROWS):
+        fields = [map(repr, col[lo:lo + _CSV_ROWS].tolist()) for col in columns]
+        fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

@@ -20,7 +20,6 @@ import functools
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -611,8 +610,12 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates get a
     uniform prior and the per-block likelihoods are mixed exactly. For a
     single candidate whose rounds form one binary symmetric channel with
-    crossover below 1/2 the ranking reduces to Hamming distance. Ties go to
-    the lowest message index.
+    crossover below 1/2 the ranking reduces to Hamming distance. Identical
+    codewords tie exactly and go to the lowest message index. Distinct
+    codewords whose exact scores tie (equal agreement counts under one law)
+    can score apart in the last bit, and then the BLAS summation order of
+    the product, which depends on the CPU and the matrix size, picks the
+    winner.
     """
     p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
     ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
@@ -788,6 +791,18 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
 def _run_task(args: tuple) -> tuple[int, int, dict]:
     config, strategy, strategy_idx, trial = args
     return strategy_idx, trial, _run_trial(config, strategy, strategy_idx, trial)
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use.
+
+    Only simulate(workers > 1) opens a pool, and importing it (with
+    multiprocessing) costs every other avcsim process about 2 MB of
+    resident memory.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def _pool_size(requested: int, tasks: int) -> int:

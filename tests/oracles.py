@@ -5,32 +5,52 @@ math.erf): the error function is evaluated from its Taylor series and a
 Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
 standard errors. The int64 codebook draw and decoder are the routes that the
-package's bool codebooks replaced, and the scalar sweep at the end is the
-per-state route that the package's array sweep replaced; each is kept as the
-reference for its replacement.
+package's bool codebooks replaced, the rational simplex is the one the
+integer-preserving simplex replaced, and the scalar sweep, the per-key grid
+deduplication and the per-row CSV writer at the end are the per-state routes
+that the package's array sweep replaced; each is kept as the reference for
+its replacement.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from typing import Sequence
+from fractions import Fraction
+from itertools import repeat
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from avcsim.bivariate import (
     BinaryJointDist,
     BivariateGaussian,
+    binarized_correlation,
     bivariate_normal_cdf,
     correlation_coefficient,
     homodyne_xx,
+    mutual_information_bits,
     std_normal_cdf,
 )
-from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
+from avcsim.channels import (
+    LP_FEAS_TOL,
+    WITNESS_ATOL,
+    ChannelTable,
+    LpNumericalError,
+    _symmetrizing_system,
+    symmetrization_residual,
+)
+from avcsim.gaussian import SYMMETRY_ATOL, JammerGaussian, mix_tmsv_with_jammer
 from avcsim.geometry import (
+    CSV_COLUMNS,
     MEMBERSHIP_ATOL,
     EnergyBudget,
     SimplexCoords,
+    _barycentric_arrays,
+    _check_source,
     _coords_in_shrunken,
+    _grid_candidates,
+    _swept_blocks,
     barycentric,
 )
 from avcsim.protocol import _MASK64, _TAG_CODEBOOK
@@ -182,6 +202,78 @@ def schedule_set_decoder_reference(codebook: np.ndarray, y: np.ndarray,
     return int(np.argmax(top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))))
 
 
+def phase1_simplex_rational(a_mat: np.ndarray, b_vec: np.ndarray,
+                            tol: float) -> Optional[np.ndarray]:
+    """Nonnegative solution of A z = b, or None: Bland's rule on a Fraction tableau.
+
+    Reduced costs are recomputed from scratch at every pivot; this is the
+    simplex that `channels._phase1_simplex` makes the same pivots as.
+    """
+    m, n = a_mat.shape
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[Fraction(x) for x in row] for row in a_mat]
+    rhs = [Fraction(x) for x in b_vec]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    # tableau columns: n structural, m artificial, then the rhs
+    tab = [rows[i] + [one if k == i else zero for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    for _ in range(20000):
+        reduced = [-one if j >= n else zero for j in range(n + m)]
+        for i, bi in enumerate(basis):
+            if bi >= n:
+                row = tab[i]
+                reduced = [r + x for r, x in zip(reduced, row[:-1])]
+        enter = -1
+        for j in range(n + m):  # Bland: first improving column
+            if reduced[j] > 0 and j not in basis:
+                enter = j
+                break
+        if enter < 0:
+            break
+        best_i, best_ratio = -1, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best_i < 0 or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[best_i]
+                ):
+                    best_i, best_ratio = i, ratio
+        if best_i < 0:
+            raise LpNumericalError("phase-1 objective unbounded; inconsistent tableau")
+        piv = tab[best_i][enter]
+        tab[best_i] = [x / piv for x in tab[best_i]]
+        pivot_row = tab[best_i]
+        for i in range(m):
+            factor = tab[i][enter]
+            if i != best_i and factor != 0:
+                tab[i] = [x - factor * y for x, y in zip(tab[i], pivot_row)]
+        basis[best_i] = enter
+    else:
+        raise LpNumericalError("phase-1 simplex hit the iteration cap")
+    residual_obj = sum(tab[i][-1] for i, bi in enumerate(basis) if bi >= n)
+    if residual_obj > Fraction(tol):
+        return None
+    z = np.zeros(n)
+    for i, bi in enumerate(basis):
+        if bi < n:
+            z[bi] = float(tab[i][-1])
+    return np.maximum(z, 0.0)
+
+
+def symmetrizability_lp_reference(table: ChannelTable) -> Optional[np.ndarray]:
+    """`channels.symmetrizability_lp` on the rational simplex."""
+    z = phase1_simplex_rational(*_symmetrizing_system(table), LP_FEAS_TOL)
+    if z is None:
+        return None
+    u = z.reshape(len(table.inputs), len(table.states))
+    if symmetrization_residual(table, u) > WITNESS_ATOL:
+        raise LpNumericalError("feasible point failed the witness recheck")
+    return u
+
+
 def random_physical_cov(rng: np.random.Generator, n_modes: int) -> np.ndarray:
     """A random valid covariance: M M^T + I/2 is physical for any real M."""
     m = rng.standard_normal((2 * n_modes, 2 * n_modes)) * 0.7
@@ -303,3 +395,53 @@ def delta_star_scalar(budget: EnergyBudget, r: float, eta: float = 0.5) -> float
             return value
         last = value
         resolution *= 2
+
+
+# --- per-key grid deduplication and per-row sweep CSV ------------------------
+
+
+def first_of_each_key_reference(cand_a: np.ndarray, cand_d: np.ndarray) -> np.ndarray:
+    """Indices of the first candidate of each (A, a) key rounded by Python's round(., 12)."""
+    keys = list(zip(map(round, cand_a.tolist(), repeat(12)),
+                    map(round, cand_d.tolist(), repeat(12))))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
+
+
+def grid_arrays_reference(budget: EnergyBudget,
+                          resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`geometry._grid_arrays` with one Python round key per candidate point."""
+    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution)
+    idx = first_of_each_key_reference(cand_a, cand_d)
+    big_a, big_b, disp = cand_a[idx], cand_b[idx], cand_d[idx]
+    ok = (big_a > 0.0) & (big_b > 0.0) & (big_a * big_b >= 0.25 - SYMMETRY_ATOL)
+    if not np.all(ok):
+        raise ValueError("jammer grid holds an unphysical single-mode covariance")
+    return big_a, big_b, disp
+
+
+def sweep_csv_reference(budget: EnergyBudget, r: float, eta: float, resolution: int,
+                        fh: TextIO) -> int:
+    """The sweep CSV built one row at a time: a BinaryJointDist, SimplexCoords, the
+    scalar binarized_correlation and mutual_information_bits, and csv.writer.
+
+    Returns the number of rows written.
+    """
+    _check_source(r, eta)
+    blocks = list(_swept_blocks(budget, r, eta, resolution))
+    big_a, _, disp, q, rho = (np.concatenate(parts) for parts in zip(*blocks))
+    coords = np.column_stack(_barycentric_arrays(q))
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    for x, z, cells, lam, corr in zip(big_a.tolist(), disp.tolist(),
+                                      q.reshape(-1, 4).tolist(), coords.tolist(),
+                                      rho.tolist()):
+        law = BinaryJointDist(*cells)
+        point = SimplexCoords(*lam)
+        writer.writerow([
+            repr(x), repr(z),
+            repr(law.q00), repr(law.q01), repr(law.q10), repr(law.q11),
+            repr(point.lambda_c), repr(point.lambda_0), repr(point.lambda_1),
+            repr(corr), repr(binarized_correlation(law)), repr(mutual_information_bits(law)),
+        ])
+    return big_a.size

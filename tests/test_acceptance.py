@@ -160,9 +160,10 @@ def test_criterion_05_sweep_containment_margin():
         started = time.monotonic()
         budget = EnergyBudget(alpha * alpha)
         r = default_squeezing(budget)
-        for point in sweep_records(budget, r, 0.5, 200):
-            assert min(point.coords.as_tuple()) >= -1e-9
-            assert abs(point.q.q00 + point.q.q01 - 0.5) <= 1e-10
+        sweep = sweep_records(budget, r, 0.5, 200)
+        lam_min = np.minimum(np.minimum(sweep.lambda_c, sweep.lambda_0), sweep.lambda_1)
+        assert np.all(lam_min >= -1e-9)
+        assert np.all(np.abs(sweep.q[:, 0, 0] + sweep.q[:, 0, 1] - 0.5) <= 1e-10)
         delta_star = compute_delta_star(budget, r)
         assert delta_star > 0.0
         elapsed = time.monotonic() - started

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import avcsim.channels as channels
 from avcsim.bivariate import BinaryJointDist
 from avcsim.channels import (
     BscParam,
@@ -27,7 +30,12 @@ from avcsim.channels import (
     w0_table,
 )
 
-from oracles import erfc_oracle, entropy_bits
+from oracles import (
+    entropy_bits,
+    erfc_oracle,
+    phase1_simplex_rational,
+    symmetrizability_lp_reference,
+)
 
 
 def test_binary_entropy_endpoints_and_symmetry():
@@ -235,6 +243,86 @@ def test_state_independent_bsc_family_is_not_symmetrizable():
         assert symmetrizability_lp(bsc_table(t, n_states=3)) is None
     # at t = 1/2 the inputs are indistinguishable and any u works
     assert symmetrizability_lp(bsc_table(0.5)) is not None
+
+
+def _assert_same_lp_answer(table):
+    """The integer simplex gives the rational one's verdict and witness, bit for bit."""
+    a_mat, b_vec = channels._symmetrizing_system(table)
+    got = channels._phase1_simplex(a_mat, b_vec, channels.LP_FEAS_TOL)
+    expected = phase1_simplex_rational(a_mat, b_vec, channels.LP_FEAS_TOL)
+    assert (got is None) == (expected is None), table.w
+    if got is not None:
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (got, expected)
+    return got
+
+
+def _random_table(rng, ns, nx, ny, kind):
+    """A row-stochastic table; some kinds are symmetrizable by construction."""
+    w = rng.dirichlet(np.ones(ny), size=(ns, nx))
+    if kind == "input-free":  # w(y|s,x) = w(y|s,0): any u(s|x) = u(s) symmetrizes
+        w[:] = w[:, :1]
+    elif kind == "symmetric" and ns == nx:  # w(y|s,x) = w(y|x,s): u = identity works
+        w = 0.5 * (w + w.swapaxes(0, 1))
+    elif kind == "tiny" and ny > 1:  # entries near 1e-9, and subnormal ones in some tables
+        values = [1e-9, 2.5e-9, 1e-30] + ([5e-324, 2.5e-310] if rng.random() < 0.25 else [])
+        for s in range(ns):
+            for x in range(nx):
+                y = rng.integers(ny)
+                tiny = rng.choice(values)
+                w[s, x, (y + 1) % ny] += w[s, x, y] - tiny
+                w[s, x, y] = tiny
+    return ChannelTable(tuple(range(ns)), tuple(range(nx)), tuple(range(ny)), w)
+
+
+def test_integer_simplex_matches_rational_simplex_on_named_tables():
+    alphas = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0, 12.0)
+    for alpha in alphas:
+        assert _assert_same_lp_answer(avc_kernel(alpha)) is not None
+    for t in (0.1, 0.17, 0.2, 0.25, 0.3, 0.4):
+        assert _assert_same_lp_answer(bsc_table(t)) is None
+        assert _assert_same_lp_answer(bsc_table(t, 3)) is None
+    for table in (bsc_table(0.5), bsc_table(0.5, 3), w0_table()):
+        _assert_same_lp_answer(table)
+    for table in (avc_kernel(1.0), avc_kernel(4.0), bsc_table(0.5), w0_table()):
+        got, expected = symmetrizability_lp(table), symmetrizability_lp_reference(table)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_integer_simplex_matches_rational_simplex_on_random_tables():
+    rng = np.random.default_rng(7007)
+    kinds = ("plain", "input-free", "symmetric", "tiny")
+    feasible = 0
+    for case in range(240):
+        ns, nx, ny = rng.integers(1, 5), rng.integers(2, 4), rng.integers(2, 4)
+        if case % 8 == 0:  # plain tables of this shape often tie in the ratio test
+            ns, nx, ny = 4, 3, 2
+        elif case % 4 == 2:
+            nx = ns = min(ns, 3)  # room for the symmetric kind
+        table = _random_table(rng, ns, nx, ny, kinds[case % 4])
+        feasible += _assert_same_lp_answer(table) is not None
+    assert 40 <= feasible <= 200  # both verdicts are well represented
+
+
+_CELL = st.one_of(st.just(0.0), st.just(1e-9), st.floats(1e-12, 1.0))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(2, 3), st.data())
+def test_integer_simplex_matches_rational_simplex_property(ns, nx, ny, data):
+    cells = data.draw(st.lists(_CELL, min_size=ns * nx * ny, max_size=ns * nx * ny))
+    w = np.array(cells).reshape(ns, nx, ny) + np.array([1e-3] + [0.0] * (ny - 1))
+    if data.draw(st.booleans()):
+        w[:, 1:] = w[:, :1]  # input-free, so symmetrizable
+    w /= w.sum(axis=2, keepdims=True)
+    tiny = data.draw(st.sampled_from([None, 1e-9, 1e-30, 5e-324]))
+    if tiny is not None:  # one row gets an entry near 1e-9, tinier or subnormal
+        s, x = data.draw(st.integers(0, ns - 1)), data.draw(st.integers(0, nx - 1))
+        w[s, x, 0] += w[s, x, 1] - tiny
+        w[s, x, 1] = tiny
+    _assert_same_lp_answer(ChannelTable(tuple(range(ns)), tuple(range(nx)),
+                                        tuple(range(ny)), w))
 
 
 def test_symmetrization_residual_flags_bad_witness():

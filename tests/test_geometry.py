@@ -16,7 +16,6 @@ from avcsim.geometry import (
     SimplexCoords,
     barycentric,
     compute_delta_star,
-    correlation_set_sweep,
     default_squeezing,
     from_barycentric,
     in_delta_delta,
@@ -28,8 +27,11 @@ from avcsim.geometry import (
 
 from oracles import (
     delta_star_scalar,
+    first_of_each_key_reference,
+    grid_arrays_reference,
     jammer_grid_scalar,
     largest_delta_bisection,
+    sweep_csv_reference,
     sweep_scalar,
 )
 
@@ -125,14 +127,14 @@ def test_sweep_points_live_in_the_simplex():
     budget = EnergyBudget(1.0)
     r = default_squeezing(budget)
     records = sweep_records(budget, r, 0.5, 16)
-    assert len(records) == len(correlation_set_sweep(budget, r, 0.5, 16))
-    for p in records:
-        lam = p.coords.as_tuple()
-        assert sum(lam) == pytest.approx(1.0, abs=1e-10)
-        assert min(lam) >= -1e-9
-        assert p.coords.lambda_c > 0.0
-        assert 0.0 <= p.mi_bits <= 1.0
-        assert abs(p.rho_bin) <= abs(p.rho) + 1e-12  # binarization loses correlation
+    assert len(records) == len(jammer_grid(budget, 16))  # one row per jammer state
+    lam = (records.lambda_c, records.lambda_0, records.lambda_1)
+    assert np.all(np.abs(lam[0] + lam[1] + lam[2] - 1.0) <= 1e-10)
+    assert np.all(np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -1e-9)
+    assert np.all(records.lambda_c > 0.0)
+    assert np.all((0.0 <= records.mi_bits) & (records.mi_bits <= 1.0))
+    # binarization loses correlation
+    assert np.all(np.abs(records.rho_bin) <= np.abs(records.rho) + 1e-12)
     with pytest.raises(ValueError):
         sweep_records(budget, -0.1)
 
@@ -156,8 +158,25 @@ def test_sweep_csv_schema_and_round_trip():
     rows = list(csv.reader(buf))
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == len(records) + 1
-    assert float(rows[1][0]) == records[0].jammer.A  # repr round-trips exactly
-    assert float(rows[1][11]) == records[0].mi_bits
+    assert float(rows[1][0]) == records.A[0]  # repr round-trips exactly
+    assert float(rows[1][11]) == records.mi_bits[0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_sweep_csv_matches_the_per_row_writer(alpha):
+    budget = EnergyBudget(alpha * alpha)
+    r = default_squeezing(budget)
+    cases = [(0.5, 8), (0.5, 64)]
+    if alpha == 1.0:
+        cases += [(0.0, 33), (0.3, 33), (1.0, 33)]
+    for eta, resolution in cases:
+        expected = io.StringIO(newline="")
+        rows = sweep_csv_reference(budget, r, eta, resolution, expected)
+        records = sweep_records(budget, r, eta, resolution)
+        got = io.StringIO(newline="")
+        sweep_to_csv(records, got)
+        assert len(records) == rows
+        assert got.getvalue() == expected.getvalue(), (alpha, eta, resolution)
 
 
 def _no_work(*args):
@@ -187,17 +206,61 @@ def test_grid_arrays_match_scalar_grid(alpha):
         assert jammer_grid(budget, resolution) == expected
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_grid_dedup_matches_python_round_keys(alpha):
+    budget = EnergyBudget(alpha * alpha)
+    for resolution in (2, 3, 16, 32, 64, 128, 256, 512):
+        expected = grid_arrays_reference(budget, resolution)
+        got = geometry._grid_arrays(budget, resolution)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (alpha, resolution)
+
+
+def test_first_of_each_key_on_near_duplicates():
+    rng = np.random.default_rng(1212)
+    step = 1e-12
+    # values straddling round(., 12)'s half-way points, signed zeros, chains of
+    # near neighbours, magnitudes where doubles are sparser than 1e-12, and
+    # non-finite values
+    base = np.concatenate([
+        np.arange(-20, 20) * step,
+        (np.arange(-20, 20) + 0.5) * step,
+        np.nextafter((np.arange(-20, 20) + 0.5) * step, np.inf),
+        np.nextafter((np.arange(-20, 20) + 0.5) * step, -np.inf),
+        [0.0, -0.0, 0.5, 0.5 + step / 3, 0.5 - step / 3, 1.5, 1.5 + 0.49 * step],
+        4096.0 + np.arange(-6, 7) * 2.0 ** -40,
+        8192.0 + np.arange(-6, 7) * 2.0 ** -40,
+        [9000.0, np.nextafter(9000.0, np.inf), 1e5, np.nextafter(1e5, np.inf)],
+    ])
+    # -5e-13 and 5e-13 are 1e-12 apart and share the key -0.0 == 0.0
+    pair = (np.array([1.0, 1.0]), np.array([-5e-13, 5e-13]))
+    assert geometry._first_of_each_key(*pair).tolist() == [0]
+    assert first_of_each_key_reference(*pair).tolist() == [0]
+    for trial in range(60):
+        n = rng.integers(1, 400)
+        cand_a = rng.choice(base, n) + rng.choice([0.0, 0.5, 2.0], n)
+        cand_d = rng.choice(base, n) + rng.choice([0.0, -1.0, 3.0], n)
+        if trial % 10 == 9:
+            cand_d[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        expected = first_of_each_key_reference(cand_a, cand_d)
+        got = geometry._first_of_each_key(cand_a, cand_d)
+        assert got.tolist() == expected.tolist(), trial
+
+
 def test_sweep_matches_scalar_route():
     budget = EnergyBudget(1.0)
     r = default_squeezing(budget)
     for eta in (0.0, 0.3, 0.5, 1.0):
         records = sweep_records(budget, r, eta, 12)
         expected = sweep_scalar(budget, r, eta, 12)
-        assert [p.jammer for p in records] == [tau for tau, _, _ in expected]
-        for p, (_, q, rho) in zip(records, expected):
-            assert np.abs(p.q.as_array() - q.as_array()).max() <= 1e-12
-            assert p.rho == pytest.approx(rho, abs=1e-14)
-            assert p.coords.as_tuple() == pytest.approx(barycentric(q).as_tuple(), abs=1e-12)
+        jammers = [JammerGaussian(A=x, B=y, a=z) for x, y, z in
+                   zip(records.A.tolist(), records.B.tolist(), records.a.tolist())]
+        assert jammers == [tau for tau, _, _ in expected]
+        for i, (_, q, rho) in enumerate(expected):
+            assert np.abs(records.q[i] - q.as_array()).max() <= 1e-12
+            assert records.rho[i] == pytest.approx(rho, abs=1e-14)
+            coords = (records.lambda_c[i], records.lambda_0[i], records.lambda_1[i])
+            assert coords == pytest.approx(barycentric(q).as_tuple(), abs=1e-12)
 
 
 def test_delta_star_matches_scalar_bisection():
