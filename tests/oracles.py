@@ -6,10 +6,11 @@ Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
 standard errors. The int64 codebook draw and decoder are the routes that the
 package's bool codebooks replaced, the rational simplex is the one the
-integer-preserving simplex replaced, and the scalar sweep, the per-key grid
-deduplication and the per-row CSV writer at the end are the per-state routes
-that the package's array sweep replaced; each is kept as the reference for
-its replacement.
+integer-preserving simplex replaced, the adaptive quadrature and the h = 0
+kernel are the bivariate CDFs that the general-(h, k) kernel replaced, and
+the scalar sweep, the per-key grid deduplication and the per-row CSV writer
+at the end are the per-state routes that the package's array sweep
+replaced; each is kept as the reference for its replacement.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from avcsim.bivariate import (
+    RHO_LIMIT,
     BinaryJointDist,
     BivariateGaussian,
     binarized_correlation,
-    bivariate_normal_cdf,
+    bivariate_normal_pdf,
     correlation_coefficient,
     homodyne_xx,
     mutual_information_bits,
     std_normal_cdf,
+    std_normal_cdf_array,
 )
 from avcsim.channels import (
     LP_FEAS_TOL,
@@ -297,11 +300,127 @@ def mi_bits_from_joint(joint: np.ndarray) -> float:
     return total
 
 
+# --- bivariate normal CDF references ----------------------------------------
+#
+# The adaptive Plackett quadrature the package's CDF kernel replaced, and the
+# h = 0 kernel as it stood before it took general (h, k): the reference that
+# the kernel's h = 0 rows must match bit for bit.
+
+# Absolute accuracy target of the adaptive CDF. The quadrature refines each
+# panel until the two-level difference is below PANEL_TOL, so the
+# accumulated error stays well under CDF_ATOL.
+CDF_ATOL = 1e-10
+PANEL_TOL = 1e-12
+_MAX_PANELS = 4096
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
+
+
+def _panel(x: float, y: float, a: float, b: float) -> float:
+    # 20-node Gauss-Legendre on the rho-integral over [a, b]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    acc = 0.0
+    for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
+        acc += wt * bivariate_normal_pdf(x, y, mid + half * node)
+    return half * acc
+
+
+def bivariate_normal_cdf_adaptive(x: float, y: float, rho: float) -> float:
+    """P(Z1 <= x, Z2 <= y) as Phi(x) Phi(y) plus the integral of the density
+    over correlations [0, rho] (Plackett's formula), with adaptive
+    Gauss-Legendre panels. Absolute error is bounded by CDF_ATOL."""
+    if abs(rho) > RHO_LIMIT:
+        raise ValueError(f"|rho| must be <= {RHO_LIMIT}, got {rho}")
+    base = std_normal_cdf(x) * std_normal_cdf(y)
+    if rho == 0.0:
+        return base
+    total = 0.0
+    stack = [(0.0, rho)]
+    panels = 0
+    while stack:
+        a, b = stack.pop()
+        panels += 1
+        if panels > _MAX_PANELS:
+            raise ArithmeticError(
+                f"bivariate CDF quadrature did not converge at ({x}, {y}, {rho})"
+            )
+        coarse = _panel(x, y, a, b)
+        mid = 0.5 * (a + b)
+        fine = _panel(x, y, a, mid) + _panel(x, y, mid, b)
+        if abs(fine - coarse) <= PANEL_TOL or abs(b - a) < 1e-14:
+            total += fine
+        else:
+            stack.append((a, mid))
+            stack.append((mid, b))
+    return min(1.0, max(0.0, base + total))
+
+
+def orthant_at_origin_reference(b: np.ndarray, rho: np.ndarray,
+                                phi_mb: np.ndarray) -> np.ndarray:
+    """Phi2(0, -b; rho) = P(X > 0, Y > b), elementwise; phi_mb holds Phi(-b).
+
+    Genz's BVND with h = 0 and k = b, so the hk terms of his expansion vanish.
+    """
+    out = np.empty_like(b)
+    near = np.abs(rho) >= 0.925
+    far = ~near
+
+    # Phi(-b)/2 + (1/2pi) int_0^{asin rho} exp(-b^2 / (2 cos^2 t)) dt
+    bf = b[far]
+    asr = np.arcsin(rho[far])
+    sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
+    f = np.exp(-0.5 * (bf * bf)[:, None] / (1.0 - sn * sn))
+    out[far] = 0.5 * phi_mb[far] + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
+
+    # |rho| -> 1: closed-form leading terms, then the remainder integral over
+    # x in [0, sqrt(1 - rho^2)], where it is smooth.
+    bn, rn = b[near], rho[near]
+    bs = bn * bn
+    one_m = (1.0 - np.abs(rn)) * (1.0 + np.abs(rn))
+    a = np.sqrt(one_m)
+    c, d = 0.5, 0.75  # Genz's (4 - hk)/8 and (12 - hk)/16
+    v = a * np.exp(-0.5 * bs / one_m) * (
+        1.0 - c * (bs - one_m) * (1.0 - d * bs / 5.0) / 3.0 + c * d * one_m * one_m / 5.0)
+    abs_b = np.abs(bn)
+    v -= (math.sqrt(2.0 * math.pi) * std_normal_cdf_array(-abs_b / a) * abs_b
+          * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
+    half = 0.5 * a
+    xs = np.multiply.outer(a, _UNIT_NODES) ** 2
+    g = np.exp(-0.5 * bs[:, None] / xs) * (1.0 / np.sqrt(1.0 - xs) - (1.0 + c * xs * (1.0 + d * xs)))
+    v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
+    phi = phi_mb[near]
+    out[near] = np.where(rn > 0.0, v + np.minimum(phi, 0.5), np.maximum(phi - 0.5, 0.0) - v)
+    return out
+
+
+def bivariate_normal_cdf_mp(x: float, y: float, rho: float, dps: int = 30) -> float:
+    """P(Z1 <= x, Z2 <= y) to dps digits with mpmath (imported on use).
+
+    Integrates phi(t) Phi((y - rho t) / sqrt(1 - rho^2)) over t <= x, with a
+    breakpoint at t = y / rho, where the inner CDF steps as |rho| -> 1.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x_, y_, r = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(rho)
+        s = mpmath.sqrt((1 - r) * (1 + r))
+
+        def f(t):
+            return mpmath.npdf(t) * mpmath.ncdf((y_ - r * t) / s)
+
+        points = [-mpmath.inf, x_]
+        if r != 0 and y_ / r < x_:
+            points.insert(1, y_ / r)
+        return float(mpmath.quad(f, points))
+
+
 # --- scalar sweep reference --------------------------------------------------
 #
 # One jammer state at a time: JammerGaussian objects, mix_tmsv_with_jammer
 # (with its 4x4 eigvals physicality check), homodyne_xx, and the quadrant law
-# from the adaptive bivariate_normal_cdf; delta* by 40-step bisection.
+# from the adaptive CDF above; delta* by 40-step bisection.
 
 
 def jammer_grid_scalar(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
@@ -347,7 +466,7 @@ def quadrant_distribution_adaptive(biv: BivariateGaussian) -> BinaryJointDist:
         raise ValueError(f"first component must be centered, got mean {biv.mean[0]}")
     rho = correlation_coefficient(biv)
     b = float(biv.mean[1] / math.sqrt(biv.cov[1, 1]))
-    q00 = bivariate_normal_cdf(0.0, -b, rho)
+    q00 = bivariate_normal_cdf_adaptive(0.0, -b, rho)
     phi_mb = std_normal_cdf(-b)
     return BinaryJointDist(q00, 0.5 - q00, phi_mb - q00, 0.5 - phi_mb + q00)
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcsim.bivariate import (
-    CDF_ATOL,
     RHO_LIMIT,
     BinaryJointDist,
     BivariateGaussian,
@@ -20,15 +21,23 @@ from avcsim.bivariate import (
     quadrant_distribution,
     quadrant_laws,
     std_normal_cdf,
+    std_normal_cdf_array,
 )
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 
 from oracles import (
+    CDF_ATOL,
+    bivariate_normal_cdf_adaptive,
+    bivariate_normal_cdf_mp,
     mc_quadrants,
     mi_bits_from_joint,
+    orthant_at_origin_reference,
     quadrant_distribution_adaptive,
     std_cdf_oracle,
 )
+
+# The kernel's measured absolute error against the 30-digit reference.
+CDF_ERR = 1e-15
 
 
 def test_std_normal_cdf_matches_independent_oracle():
@@ -92,6 +101,65 @@ def test_cdf_rejects_degenerate_correlation():
         bivariate_normal_cdf(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         bivariate_normal_cdf(0.0, 0.0, -1.0 + 1e-12)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, args in (("x", (bad, 0.0, 0.5)), ("y", (0.0, bad, 0.5)),
+                           ("rho", (0.0, 0.0, bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                bivariate_normal_cdf(*args)
+
+
+def test_cdf_matches_30_digit_reference():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(85)
+    n = 40
+    x, y = rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0, n)
+    x[::5] = 0.0
+    # half the points at 1 - |rho| between 1e-9 and 1e-1, across the 0.925 switch
+    rho = rng.uniform(-0.99, 0.99, n)
+    rho[n // 2:] = rng.choice([-1.0, 1.0], n // 2) * np.minimum(
+        1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n // 2), RHO_LIMIT)
+    assert (rho > 0).any() and (rho < 0).any()
+    for xi, yi, ri in zip(x.tolist(), y.tolist(), rho.tolist()):
+        ref = bivariate_normal_cdf_mp(xi, yi, ri)
+        assert abs(bivariate_normal_cdf(xi, yi, ri) - ref) <= CDF_ERR, (xi, yi, ri)
+
+
+def test_cdf_matches_adaptive_oracle():
+    rng = np.random.default_rng(86)
+    for _ in range(300):
+        x, y = rng.normal(0.0, 2.0, 2).tolist()
+        rho = float(rng.uniform(-0.9999, 0.9999))
+        assert abs(bivariate_normal_cdf(x, y, rho)
+                   - bivariate_normal_cdf_adaptive(x, y, rho)) <= 1e-12, (x, y, rho)
+    # far outside, the CDF is a marginal, 0 or 1 to double precision; unclipped,
+    # exp(-hk/2) overflows at (40, 40, -0.95) and the result is NaN
+    assert bivariate_normal_cdf(1e100, 0.3, 0.95) == pytest.approx(std_normal_cdf(0.3), abs=1e-15)
+    assert bivariate_normal_cdf(-1e100, 0.3, -0.95) <= 1e-299
+    assert bivariate_normal_cdf(60.0, -60.0, 0.99) <= 1e-299
+    assert bivariate_normal_cdf(40.0, 40.0, -0.95) == 1.0
+
+
+_ARG = st.floats(-10.0, 10.0, allow_nan=False)
+_RHO = st.floats(-RHO_LIMIT, RHO_LIMIT, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ARG, _ARG, _RHO)
+def test_cdf_frechet_bounds_symmetry_and_reflection(x, y, rho):
+    p = bivariate_normal_cdf(x, y, rho)
+    px, py = std_normal_cdf(x), std_normal_cdf(y)
+    assert max(0.0, px + py - 1.0) - CDF_ERR <= p <= min(px, py) + CDF_ERR
+    assert bivariate_normal_cdf(y, x, rho) == p
+    # P(Z1 <= -x, Z2 <= -y) is the survival of the pair at (x, y)
+    assert bivariate_normal_cdf(-x, -y, rho) == pytest.approx(1.0 - px - py + p, abs=2 * CDF_ERR)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ARG, _ARG, _RHO, _RHO)
+def test_cdf_non_decreasing_in_rho(x, y, r1, r2):
+    lo, hi = min(r1, r2), max(r1, r2)
+    # each value is within CDF_ERR of the true, non-decreasing one
+    assert bivariate_normal_cdf(x, y, hi) >= bivariate_normal_cdf(x, y, lo) - 2 * CDF_ERR
 
 
 def test_cdf_against_monte_carlo_spot_checks():
@@ -112,6 +180,17 @@ def test_bivariate_gaussian_validation():
         BivariateGaussian(np.zeros(2), np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(ValueError):
         BivariateGaussian(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # NaN fails every comparison, so each entry is checked to be finite first
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BivariateGaussian(np.array([bad, 0.0]), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            BivariateGaussian(np.array([0.0, bad]), np.eye(2))
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            cov = np.eye(2)
+            cov[i, j] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BivariateGaussian(np.zeros(2), cov)
 
 
 def test_homodyne_picks_x_quadratures():
@@ -179,7 +258,8 @@ def test_quadrant_kernel_matches_adaptive_cdf():
     rho[:200] = rng.choice([-1.0, 1.0], 200) * (1.0 - 10.0 ** rng.uniform(-5.0, -1.0, 200))
     q = quadrant_laws(-y, rho)
     for i in range(y.size):
-        assert abs(q[i, 0, 0] - bivariate_normal_cdf(0.0, y[i], rho[i])) <= 1e-12, (y[i], rho[i])
+        assert abs(q[i, 0, 0] - bivariate_normal_cdf_adaptive(0.0, y[i], rho[i])) <= 1e-12, (
+            y[i], rho[i])
         phi = std_normal_cdf(y[i])
         expected = (0.5 - q[i, 0, 0], phi - q[i, 0, 0], 0.5 - phi + q[i, 0, 0])
         assert (q[i, 0, 1], q[i, 1, 0], q[i, 1, 1]) == pytest.approx(
@@ -190,7 +270,26 @@ def test_quadrant_kernel_matches_adaptive_cdf():
                                                     RHO_LIMIT)
     q = quadrant_laws(-y, rho)
     for i in range(y.size):
-        assert abs(q[i, 0, 0] - bivariate_normal_cdf(0.0, y[i], rho[i])) <= CDF_ATOL
+        assert abs(q[i, 0, 0] - bivariate_normal_cdf_adaptive(0.0, y[i], rho[i])) <= CDF_ATOL
+
+
+def test_quadrant_kernel_matches_h0_reference_bit_for_bit():
+    rng = np.random.default_rng(87)
+    n = 4000
+    b = rng.normal(0.0, 3.0, n)
+    b[:40] = 0.0
+    b[40:80] = rng.normal(0.0, 40.0, 40)
+    rho = rng.uniform(-RHO_LIMIT, RHO_LIMIT, n)
+    # a quarter each side of the 0.925 switch, a quarter near RHO_LIMIT
+    sign = rng.choice([-1.0, 1.0], n)
+    rho[: n // 4] = sign[: n // 4] * rng.uniform(0.9, 0.925, n // 4)
+    rho[n // 4: n // 2] = sign[n // 4: n // 2] * rng.uniform(0.925, 0.95, n // 4)
+    rho[n // 2: 3 * n // 4] = sign[n // 2: 3 * n // 4] * np.minimum(
+        1.0 - 10.0 ** rng.uniform(-9.0, -6.0, n // 4), RHO_LIMIT)
+    rho[-4:] = (RHO_LIMIT, -RHO_LIMIT, 0.925, -0.925)
+    q00 = quadrant_laws(b, rho)[:, 0, 0]
+    ref = np.clip(orthant_at_origin_reference(b, rho, std_normal_cdf_array(-b)), 0.0, 1.0)
+    assert q00.tobytes() == ref.tobytes()
 
 
 def test_quadrant_distribution_is_one_row_of_the_kernel():
