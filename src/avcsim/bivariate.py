@@ -43,6 +43,13 @@ _GENZ_SWITCH = 0.925
 # so exp(-hk/2) in the kernel cannot overflow.
 _CDF_FLAT = 37.0
 
+# Near |rho| = 1 the kernel's polynomial in |h - k|^2 overflows from about
+# |h - k| = 1e77, where the factors it multiplies, exp(-|h - k|^2 / 2(1 -
+# rho^2)) and Phi(-|h - k| / sqrt(1 - rho^2)), have long been exact zeros
+# (from |h - k| of about 15 at rho = 0.925). Capping |h - k| here keeps
+# those products 0 instead of 0 * inf = NaN, and changes no other value.
+_GAP_CAP = 1e50
+
 __all__ = [
     "BivariateGaussian",
     "BinaryJointDist",
@@ -156,9 +163,12 @@ class BinaryJointDist:
 
     def __post_init__(self):
         vals = (self.q00, self.q01, self.q10, self.q11)
-        if min(vals) < -1e-9:
+        # each check is written to fail on NaN
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"probabilities must be finite, got {vals}")
+        if not min(vals) >= -1e-9:
             raise ValueError(f"negative probability in {vals}")
-        if abs(sum(vals) - 1.0) > 1e-9:
+        if not abs(sum(vals) - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
         # wipe quadrature-scale negatives
         for name, v in zip(("q00", "q01", "q10", "q11"), vals):
@@ -214,7 +224,7 @@ def _orthant_near(h, k, rho, phi_mh, phi_mk):
     # expansion is about Y = -X, so k changes sign.
     k = np.where(rho > 0.0, k, -k)
     hk = h * k
-    abs_b = np.abs(h - k)
+    abs_b = np.minimum(np.abs(h - k), _GAP_CAP)
     bs = abs_b * abs_b
     one_m = (1.0 - np.abs(rho)) * (1.0 + np.abs(rho))
     a = np.sqrt(one_m)
@@ -249,6 +259,8 @@ def quadrant_laws(b, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if b.ndim != 1 or b.shape != rho.shape:
         raise ValueError(f"b and rho must be 1-D of one length, got {b.shape}, {rho.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("standardized means b must be finite")
     if not np.all(np.abs(rho) <= RHO_LIMIT):
         raise ValueError(f"|rho| must be <= {RHO_LIMIT}, got max {np.max(np.abs(rho))}")
     phi_mb = std_normal_cdf_array(-b)

@@ -64,6 +64,7 @@ __all__ = [
     "evaluate_code_error_exact",
     "symmetrizing_attack_error",
     "simulate",
+    "wilson_interval",
 ]
 
 
@@ -318,24 +319,56 @@ class SimConfig:
         )
 
 
+# two-sided 95% quantile of the standard normal
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+    """Wilson score interval (Wilson 1927) of a binomial rate, 95% two-sided by default.
+
+    Unlike the normal approximation it stays inside [0, 1] and does not
+    collapse to a point at 0 or `trials` failures.
+    """
+    _require_integer("failures", failures)
+    _require_integer("trials", trials)
+    if not 0 <= failures <= trials or trials < 1:
+        raise ValueError(f"need 0 <= failures <= trials and trials >= 1, "
+                         f"got {failures} of {trials}")
+    p = failures / trials
+    zz = z * z / trials
+    centre = (p + zz / 2.0) / (1.0 + zz)
+    half = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials)) / (1.0 + zz)
+    # the ends are exactly 0 and 1 there; centre -/+ half rounds off them
+    low = 0.0 if failures == 0 else centre - half
+    high = 1.0 if failures == trials else centre + half
+    return low, high
+
+
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated simulation outcome; deterministic given the config."""
+    """Aggregated simulation outcome; deterministic given the config.
+
+    Error rates come with 95% Wilson score intervals (`wilson_interval`).
+    Per strategy, failed seed transfers are split into those the parity
+    slot flagged and those it missed (silent).
+    """
 
     config: SimConfig
     per_strategy: dict
     per_trial: tuple
     worst_error: float
+    worst_error_ci95: tuple
     estimated_crossover: float
     capacity_estimate: float
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "config": self.config.to_json_dict(),
             "per_strategy": self.per_strategy,
             "per_trial": list(self.per_trial),
             "worst_error": self.worst_error,
+            "worst_error_ci95": list(self.worst_error_ci95),
             "estimated_crossover": self.estimated_crossover,
             "capacity_estimate": self.capacity_estimate,
             "seed_provenance": {
@@ -474,11 +507,6 @@ def _data_flip_tables(config: SimConfig, rounds: int) -> np.ndarray:
     return p1
 
 
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    top = scores.max(axis=1, keepdims=True)
-    return top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))
-
-
 def sample_round(x: int, jammer, alpha: float, rng: np.random.Generator,
                  eta: float = 0.5, r: Optional[float] = None,
                  source: str = "tmsv") -> tuple[int, Optional[int]]:
@@ -586,46 +614,91 @@ def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx
                     trial: int, seed_bits: np.ndarray, block: int) -> np.ndarray:
     """Random binary codebook selected by the shared seed bits (and public context).
 
-    Returns a bool array of shape (n_messages, length). Its stream equals
-    `integers(0, 2, size=(n_messages, length))` on the same Philox key: for
-    a range of 2 numpy's bounded draw is the top bit of one 32-bit word and
-    never rejects, so the bits are read straight from the raw 64-bit output,
-    low 32-bit half first.
+    Returns the codebook packed as uint8 of shape (n_messages, ceil(length / 8)):
+    bit i of a codeword is bit i % 8 (least significant first) of its byte
+    i // 8, and the padding bits of the last byte are zero. The bytes are the
+    little-endian bytes of `Philox.random_raw` on the key below, row after
+    row, each row starting on a byte boundary; so one stream bit serves each
+    codeword bit, and a row needs ceil(length / 8) stream bytes.
     """
     seed_int = 0
     for b in np.asarray(seed_bits, dtype=np.int64):
         seed_int = (seed_int << 1) | int(b)
     lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | _TAG_CODEBOOK
     hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
-    bits = n_messages * length
-    raw = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw((bits + 1) // 2)
-    words = raw.astype("<u8", copy=False).view("<i4")
-    return (words[:bits] < 0).reshape(n_messages, length)
+    row_bytes = (length + 7) // 8
+    n_bytes = n_messages * row_bytes
+    raw = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw((n_bytes + 7) // 8)
+    packed = raw.astype("<u8", copy=False).view(np.uint8)[:n_bytes].reshape(n_messages, row_bytes)
+    if length % 8:
+        packed[:, -1] &= (1 << (length % 8)) - 1
+    return packed
+
+
+# messages per decoder block: its gathered terms take 8 KB per byte column
+# and leaf (557 KB for 17 columns and 4 leaves), so they stay in cache and
+# add little to the peak memory of a run
+_DECODE_BLOCK = 1024
 
 
 def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
                          p1: np.ndarray) -> int:
     """Exact likelihood decoding against a candidate set of per-round laws.
 
-    p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates get a
-    uniform prior and the per-block likelihoods are mixed exactly. For a
-    single candidate whose rounds form one binary symmetric channel with
-    crossover below 1/2 the ranking reduces to Hamming distance. Identical
-    codewords tie exactly and go to the lowest message index. Distinct
-    codewords whose exact scores tie (equal agreement counts under one law)
-    can score apart in the last bit, and then the BLAS summation order of
-    the product, which depends on the CPU and the matrix size, picks the
-    winner.
+    `codebook` is packed as `random_codebook` returns it, with zero padding
+    bits. p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates
+    get a uniform prior and the per-block likelihoods are mixed exactly. For
+    a single candidate whose rounds form one binary symmetric channel with
+    crossover below 1/2 the ranking reduces to Hamming distance.
+
+    No BLAS product is involved, and every sum runs in a fixed order, so the
+    pick does not depend on the CPU or the BLAS kernel. Under leaf h a
+    message scores base[h] (the log-likelihood of the all-zero word, summed
+    round by round), then plus one table entry per byte column, columns in
+    order. The entry for byte value v of column j adds the log-likelihood
+    differences of rounds 8j + t over the set bits t of v, lowest bit first.
+    The leaves are mixed by log-sum-exp with their terms added in leaf
+    order. Identical codewords therefore score identically and go to the
+    lowest message index. Distinct codewords whose exact scores tie (equal
+    agreement counts under one law) can score apart in the last bit, always
+    the same way.
     """
     p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
     ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
-    base = ll[:, :, 0].sum(axis=1)
-    delta = ll[:, :, 1] - ll[:, :, 0]
-    # exactly tied messages can score apart in the last bit, so the product's
-    # summation order picks among them: row blocks or a contiguous delta.T
-    # change some simulate reports (thermal seed mismatches among them)
-    scores = codebook @ delta.T + base[None, :]
-    return int(np.argmax(_logsumexp_rows(scores)))
+    n_leaves, length, _ = ll.shape
+    n_messages, row_bytes = codebook.shape
+    base = np.cumsum(ll[:, :, 0], axis=1)[:, -1]
+    # tables[j, v, h] by 8 doublings: the values with top bit t are those
+    # below 2^t plus round 8j + t's difference; padding rounds add zero
+    steps = np.zeros((row_bytes, 8, n_leaves))
+    steps.reshape(-1, n_leaves)[:length] = (ll[:, :, 1] - ll[:, :, 0]).T
+    tables = np.zeros((row_bytes, 256, n_leaves))
+    for t in range(8):
+        tables[:, 1 << t : 2 << t] = tables[:, : 1 << t] + steps[:, t, None]
+    tables = tables.reshape(-1, n_leaves)
+    offsets = (256 * np.arange(row_bytes))[:, None]
+    # messages are scored in blocks only to bound the gathered terms' memory;
+    # every message's arithmetic is the same in any block. The two buffers
+    # are reused from block to block: allocating them afresh for each block
+    # made an 8192-message call about 1.7 times slower.
+    scores = np.empty((n_leaves, n_messages))
+    rows = terms = None
+    for start in range(0, n_messages, _DECODE_BLOCK):
+        block = codebook[start : start + _DECODE_BLOCK]
+        if rows is None or rows.shape[1] != block.shape[0]:
+            rows = np.empty((row_bytes, block.shape[0]), dtype=np.intp)
+            terms = np.empty((row_bytes, block.shape[0], n_leaves))
+        np.add(block.T, offsets, out=rows)
+        tables.take(rows, axis=0, out=terms, mode="clip")
+        acc = base + terms[0]
+        for j in range(1, row_bytes):
+            acc += terms[j]
+        scores[:, start : start + block.shape[0]] = acc.T
+    top = scores.max(axis=0)
+    total = np.exp(scores[0] - top)
+    for h in range(1, n_leaves):
+        total += np.exp(scores[h] - top)
+    return int(np.argmax(top + np.log(total)))
 
 
 def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
@@ -635,11 +708,12 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     """Send message_bits raw (no XOR layer) in seed-keyed random sub-blocks.
 
     The sender and receiver build their codebooks from their own seed copies
-    (equal copies select the same codebook, so it is drawn once); a seed
-    mismatch yields independently wrong codebooks and hence garbage decoding,
-    which is the honest failure mode. Decoding is exact likelihood
-    against the candidate schedule set, which the receiver knows from the
-    config; the realised schedule stays hidden.
+    (equal copies select the same codebook, so it is drawn once), and the
+    sender unpacks only the row it sends; a seed mismatch yields
+    independently wrong codebooks and hence garbage decoding, which is the
+    honest failure mode. Decoding is exact likelihood against the candidate
+    schedule set, which the receiver knows from the config; the realised
+    schedule stays hidden.
     """
     plan = _block_plan(rounds, config.rate, config.max_block_bits)
     if sum(b for _, b in plan) != len(message_bits):
@@ -658,7 +732,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
             m = (m << 1) | int(b)
         cb_send = random_codebook(1 << bits, length, config.master_seed, strategy_idx,
                                   trial, sender_seed, block)
-        x = cb_send[m].astype(np.int64)  # a bool row would index the law as a mask
+        x = np.unpackbits(cb_send[m], count=length, bitorder="little").astype(np.int64)
         y = _bpsk_outputs(
             x,
             big_a[pos_rounds : pos_rounds + length],
@@ -835,14 +909,20 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
                 records[si * config.trials + t] = rec
     ordered = records
     per_strategy = {}
+    failures = []
     for si, leaf in enumerate(leaves):
         rows = ordered[si * config.trials : (si + 1) * config.trials]
-        errs = [1.0 - float(row["message_ok"]) for row in rows]
+        failures.append(sum(not row["message_ok"] for row in rows))
         per_strategy[leaf.label] = {
-            "empirical_error": sum(errs) / len(errs),
+            "empirical_error": failures[-1] / len(rows),
+            "error_ci95": list(wilson_interval(failures[-1], len(rows))),
             "mean_crossover": sum(row["t_hat"] for row in rows) / len(rows),
             "seed_agreement_rate": sum(float(row["seed_ok"]) for row in rows) / len(rows),
             "parity_flag_rate": sum(1.0 - float(row["parity_ok"]) for row in rows) / len(rows),
+            "seed_failures_flagged": sum(not row["seed_ok"] and not row["parity_ok"]
+                                         for row in rows),
+            "seed_failures_silent": sum(not row["seed_ok"] and row["parity_ok"]
+                                        for row in rows),
             "trials": len(rows),
         }
     worst_error = max(v["empirical_error"] for v in per_strategy.values())
@@ -853,6 +933,7 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
         per_strategy=per_strategy,
         per_trial=tuple(ordered),
         worst_error=worst_error,
+        worst_error_ci95=wilson_interval(max(failures), config.trials),
         estimated_crossover=t_worst,
         capacity_estimate=capacity,
     )

@@ -4,13 +4,14 @@ Most of this is deliberately independent of the code under test (and of
 math.erf): the error function is evaluated from its Taylor series and a
 Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
-standard errors. The int64 codebook draw and decoder are the routes that the
-package's bool codebooks replaced, the rational simplex is the one the
-integer-preserving simplex replaced, the adaptive quadrature and the h = 0
-kernel are the bivariate CDFs that the general-(h, k) kernel replaced, and
-the scalar sweep, the per-key grid deduplication and the per-row CSV writer
-at the end are the per-state routes that the package's array sweep
-replaced; each is kept as the reference for its replacement.
+standard errors. The packed codebook stream is rebuilt bit by bit, and the
+decoder is rerun in Python floats in its fixed summation order. The
+rational simplex is the one the integer-preserving simplex replaced, the
+adaptive quadrature and the h = 0 kernel are the bivariate CDFs that the
+general-(h, k) kernel replaced, and the scalar sweep, the per-key grid
+deduplication and the per-row CSV writer at the end are the per-state
+routes that the package's array sweep replaced; each is kept as the
+reference for its replacement.
 """
 
 from __future__ import annotations
@@ -178,31 +179,108 @@ def hamming_decoder(codebook: np.ndarray, y: np.ndarray) -> int:
 def random_codebook_reference(n_messages: int, length: int, master_seed: int,
                               strategy_idx: int, trial: int, seed_bits: np.ndarray,
                               block: int) -> np.ndarray:
-    """`protocol.random_codebook` drawn through `Generator.integers(0, 2)` as int64."""
+    """`protocol.random_codebook` read bit by bit from `random_raw`, unpacked to int64.
+
+    Row m reads stream bytes m*B to m*B + B - 1, with B = ceil(length / 8);
+    stream byte k is byte k % 8 of 64-bit word k // 8, least significant
+    first, and bit i of the row is bit i % 8 of its byte i // 8.
+    """
     seed_int = 0
     for b in np.asarray(seed_bits, dtype=np.int64):
         seed_int = (seed_int << 1) | int(b)
     lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | _TAG_CODEBOOK
     hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
-    gen = np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
-    return gen.integers(0, 2, size=(n_messages, length), dtype=np.int64)
+    row_bytes = (length + 7) // 8
+    n_words = (n_messages * row_bytes + 7) // 8
+    words = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw(n_words)
+    words = [int(w) for w in words]
+    rows = []
+    for m in range(n_messages):
+        row = []
+        for i in range(length):
+            k = m * row_bytes + i // 8
+            byte = (words[k // 8] >> (8 * (k % 8))) & 0xFF
+            row.append((byte >> (i % 8)) & 1)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(n_messages, length)
 
 
-def schedule_set_decoder_reference(codebook: np.ndarray, y: np.ndarray,
-                                   p1: np.ndarray) -> int:
-    """`protocol.schedule_set_decoder` on the codebook cast to int64.
-
-    The scores of exactly tied messages can differ in their last bit, and
-    then the float product's summation order picks the winner; this keeps
-    the int64 product whose picks the pinned simulate outputs record.
-    """
+def _round_logliks(y: np.ndarray, p1: np.ndarray) -> list:
+    """ll[h][i][x] = log P(y_i | x) under leaf h, as the decoder computes it."""
     p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
-    ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
-    base = ll[:, :, 0].sum(axis=1)
-    delta = ll[:, :, 1] - ll[:, :, 0]
-    scores = np.asarray(codebook, dtype=np.int64) @ delta.T + base[None, :]
-    top = scores.max(axis=1, keepdims=True)
-    return int(np.argmax(top[:, 0] + np.log(np.exp(scores - top).sum(axis=1))))
+    return np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1)).tolist()
+
+
+def schedule_set_decoder_reference(bits: np.ndarray, y: np.ndarray, p1: np.ndarray) -> int:
+    """`protocol.schedule_set_decoder` on an unpacked (M, L) 0/1 codebook, in Python floats.
+
+    Adds in the decoder's fixed order: per leaf the x = 0 log-likelihoods
+    round by round, then per byte column the differences of its set bits,
+    lowest bit first, each column's sum added to the running score; then
+    log-sum-exp over the leaves in leaf order. exp and log are numpy's, as
+    in the decoder, since they need not match `math`'s in the last bit.
+    """
+    ll = _round_logliks(y, p1)
+    length = len(ll[0])
+    delta = [[row[i][1] - row[i][0] for i in range(length)] for row in ll]
+    bases = []
+    for row in ll:
+        total = row[0][0]
+        for i in range(1, length):
+            total += row[i][0]
+        bases.append(total)
+    all_scores = []
+    for word in np.asarray(bits).tolist():
+        scores = []
+        for base, d in zip(bases, delta):
+            score = base
+            for j in range(0, length, 8):
+                column = 0.0
+                for i in range(j, min(j + 8, length)):
+                    if word[i]:
+                        column += d[i]
+                score += column
+            scores.append(score)
+        all_scores.append(scores)
+    tops = [max(scores) for scores in all_scores]
+    # numpy's exp and log give the same value for an element whatever the
+    # array around it, so one call each serves every message
+    exps = np.exp([[s - top for s in scores] for scores, top in zip(all_scores, tops)]).tolist()
+    totals = []
+    for row in exps:
+        total = row[0]
+        for e in row[1:]:
+            total += e
+        totals.append(total)
+    values = [top + lg for top, lg in zip(tops, np.log(totals).tolist())]
+    return values.index(max(values))
+
+
+def schedule_set_exact_scores(bits: np.ndarray, y: np.ndarray, p1: np.ndarray) -> list:
+    """Each message's mixture score from exact per-leaf log-likelihoods.
+
+    Per leaf, the base log-likelihood plus the float differences of the set
+    bits is summed exactly (as `Fraction`s, kept as integers over one
+    power-of-two denominator) and rounded once to a float; the log-sum-exp
+    over leaves is then in floats.
+    """
+    ll = _round_logliks(y, p1)
+    words = np.asarray(bits, dtype=np.int64).astype(object)
+    leaf_scores = []
+    for row in ll:
+        base = sum(Fraction(r[0]) for r in row)
+        delta = [Fraction(r[1] - r[0]) for r in row]
+        # every denominator is a power of two, so the largest is a common one
+        den = max(f.denominator for f in delta + [base])
+        nums = np.array([f.numerator * (den // f.denominator) for f in delta], dtype=object)
+        base_num = base.numerator * (den // base.denominator)
+        # int / int is correctly rounded: one rounding of the exact score
+        leaf_scores.append([(base_num + n) / den for n in words @ nums])
+    out = []
+    for scores in zip(*leaf_scores):
+        top = max(scores)
+        out.append(top + math.log(sum(math.exp(s - top) for s in scores)))
+    return out
 
 
 def phase1_simplex_rational(a_mat: np.ndarray, b_vec: np.ndarray,

@@ -213,6 +213,12 @@ def test_binary_joint_validation_and_views():
         BinaryJointDist(0.5, 0.5, 0.1, -0.1)
     with pytest.raises(ValueError):
         BinaryJointDist(0.5, 0.5, 0.5, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for pos in range(4):
+            vals = [0.25, 0.25, 0.25, 0.25]
+            vals[pos] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BinaryJointDist(*vals)
 
 
 def test_quadrant_distribution_centered_and_symmetric_cases():
@@ -313,6 +319,17 @@ def test_quadrant_kernel_checks_reject_bad_rows():
             quadrant_laws(b, rho)
     with pytest.raises(ValueError):
         quadrant_laws([0.1, 0.2], [0.5])
+
+
+def test_quadrant_kernel_far_tails_near_unit_correlation():
+    # past |b| of about 1e77 the near-|rho| = 1 series overflowed and met an
+    # exact zero (0 * inf = NaN); the law is the receiver bit's certainty
+    # times the sender's fair coin
+    for b in (1e50, 1e77, 1e100, 1e300, np.finfo(float).max):
+        for rho in (0.925, 0.95, -0.95, RHO_LIMIT, -RHO_LIMIT):
+            q = quadrant_laws([b, -b], [rho, rho])
+            assert q[0].tolist() == [[0.0, 0.5], [0.0, 0.5]], (b, rho)
+            assert q[1].tolist() == [[0.5, 0.0], [0.5, 0.0]], (b, rho)
 
 
 def test_binarized_correlation_limits():

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
+import avcsim
 from avcsim.channels import avc_kernel, bsc_table, crossover_probs
 from avcsim.cli import main
 from avcsim.protocol import SimConfig, canonical_schedules
@@ -211,19 +214,19 @@ def test_simulate_rejects_bad_jammer_with_exit_2(jammer, message, tmp_path, caps
 PINNED_RUNS = {
     "correlation-assisted": (
         {"k": 32, "cr_seed_bits": 3},
-        "29492fdfa342fb8afffc5d4e0f3c9f6be56da4ea4b5d971237c4e08bc3f868e6",
-        "71d461d21abf62ab1604bd3495e3ab85aea9a9f147baee455defc56a7870eb83"),
+        "5fee16a1e04cdf0cc1c31bae565c7eab226b7062ef8ccb303501c0a155beca99",
+        "c62236516bbfcb18aaed2ba4bb42a411210d5c1743c3bdb4cba430f31859ae71"),
     "thermal": (
         {"k": 32, "cr_seed_bits": 3, "source": "thermal"},
-        "7b395bc1b4931e27faa4dc06b1d3d058687b582ec9f363c21a0dadd710a98753",
-        "bfb4493a649888827c6616942e86eecf2ab40dfc11e6b91f8d31310552abb2d4"),
+        "06fd74feb4d010de94aca67b9284e9a877f957a52ce3bdb6eb6389aba4a1c5b4",
+        "630cb218a1ba89286b4b0adcb1c7814ca5ac722a3b0456153ba3e19b9706d3ee"),
     "common-randomness": (
         {"code_mode": "common-randomness"},
-        "b3b57c9205eb567cc6d915a58013320ec479327c0006c169b39954fe316f60da",
+        "8f957dc19d0ef0abfeae2dca69ad29f1090a3a657320113cab71ec2b5ab9cd33",
         "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
     "deterministic": (
         {"code_mode": "deterministic"},
-        "001721d75684d37623999fad78a3d6546f82409958d6cdb3211ef05a38537852",
+        "a335e92610732ccda1840151c515f88fb32ecffb4ea9349e7756ce9f0066610a",
         "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
 }
 
@@ -239,3 +242,30 @@ def test_simulate_artifacts_match_pinned_hashes(name, tmp_path, capsys):
     assert main(["simulate", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha
     assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == trials_sha
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_simulate_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the thermal source makes seed transfers fail, and decoding with the
+    # wrong codebook meets many exactly tied scores; a decoder whose sums
+    # follow the BLAS kernel's order broke some of them differently under
+    # Prescott
+    cfg = SimConfig(alpha=1.0, n=1024, k=200, rate=0.1, jammer=canonical_schedules(),
+                    source="thermal", master_seed=7, trials=10, cr_seed_bits=3)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    src = os.path.dirname(os.path.dirname(avcsim.__file__))
+    artifacts = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (env.get("PYTHONPATH"),) if p])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        proc = subprocess.run([sys.executable, "-m", "avcsim.cli", "simulate", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append(((out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()))
+    assert artifacts[0][0] == artifacts[1][0]
+    assert artifacts[0][1] == artifacts[1][1]

@@ -24,6 +24,7 @@ from avcsim.protocol import (
     schedule_set_decoder,
     simulate,
     symmetrizing_attack_error,
+    wilson_interval,
 )
 from avcsim import protocol
 from avcsim.protocol import (
@@ -41,7 +42,13 @@ from oracles import (
     random_codebook_reference,
     repetition_majority_error,
     schedule_set_decoder_reference,
+    schedule_set_exact_scores,
 )
+
+
+def _pack(bits) -> np.ndarray:
+    """(M, L) 0/1 codewords in `random_codebook`'s packed layout."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
 
 
 def test_jammer_state_for_symbol():
@@ -228,7 +235,7 @@ def test_schedule_set_decoder_reduces_to_hamming_on_a_bsc():
         p1 = np.empty((1, length, 2))
         p1[0, :, 0] = 0.2   # P(y=1 | x=0) = t
         p1[0, :, 1] = 0.8   # P(y=1 | x=1) = 1 - t
-        choice = schedule_set_decoder(codebook, y, p1)
+        choice = schedule_set_decoder(_pack(codebook), y, p1)
         dists = (codebook != y).sum(axis=1)
         assert dists[choice] == dists[hamming_decoder(codebook, y)]
 
@@ -241,10 +248,10 @@ def test_schedule_set_decoder_uses_the_round_structure():
     p1[0, :, 1] = 1.0          # clean rounds
     p1[0, 0, 0] = 1.0          # round 0 inverts the sent bit
     p1[0, 0, 1] = 0.0
-    assert schedule_set_decoder(codebook, y, p1) == 0
+    assert schedule_set_decoder(_pack(codebook), y, p1) == 0
     assert hamming_decoder(codebook, y) == 0  # distance 1 vs 3 agrees here
     y2 = np.array([0, 1, 1, 1])
-    assert schedule_set_decoder(codebook, y2, p1) == 1
+    assert schedule_set_decoder(_pack(codebook), y2, p1) == 1
 
 
 def test_random_codebook_is_seed_keyed_and_deterministic():
@@ -252,8 +259,9 @@ def test_random_codebook_is_seed_keyed_and_deterministic():
     a = random_codebook(4, 10, 7, 0, 3, seed, 0)
     b = random_codebook(4, 10, 7, 0, 3, seed, 0)
     assert np.array_equal(a, b)
-    assert a.shape == (4, 10)
-    assert a.dtype == bool
+    assert a.shape == (4, 2)  # 10 bits packed into 2 bytes per row
+    assert a.dtype == np.uint8
+    assert not (a[:, 1] & 0xFC).any()  # the 6 padding bits are zero
     c = random_codebook(4, 10, 7, 0, 3, np.array([1, 1, 1], dtype=np.int64), 0)
     assert not np.array_equal(a, c)
     d = random_codebook(4, 10, 7, 0, 3, seed, 1)
@@ -272,22 +280,27 @@ CODEBOOK_KEYS = [
 ]
 
 
+# the test keeps the name it had when the codebook was the integers(0, 2) draw
 @pytest.mark.parametrize("shape", CODEBOOK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_random_codebook_equals_the_integers_draw(shape):
+    """The packed codebook is the stream rebuilt bit by bit, padding bits zero."""
+    rows, length = shape
     for key in CODEBOOK_KEYS:
         got = random_codebook(*shape, *key)
-        assert got.dtype == bool and got.shape == shape
-        assert np.array_equal(got.astype(np.int64), random_codebook_reference(*shape, *key))
+        assert got.dtype == np.uint8 and got.shape == (rows, (length + 7) // 8)
+        assert np.array_equal(got, _pack(random_codebook_reference(*shape, *key)))
 
 
+# the test keeps the name it had when the reference was the int64 product
 def test_schedule_set_decoder_matches_the_int64_reference():
+    """Picks equal the Python-float oracle's and are optimal up to rounding."""
     rng = np.random.default_rng(20260814)
     # (rows, leaves, length, one constant law per leaf)
     cases = [(rows, leaves, int(rng.integers(1, 131)), False)
              for rows in (1, 2, 511, 512, 513, 3 * 512 + 1) for leaves in (1, 2, 3, 4)]
     # constant laws on short blocks make exact ties common; a tie goes to
-    # whichever score the product rounds up, so any change to the product's
-    # summation order changes some of these picks
+    # whichever score the fixed summation order rounds up, so any change to
+    # that order changes some of these picks
     cases += [(rows, 4, 16, True) for rows in (513, 3 * 512 + 1) for _ in range(100)]
     for rows, leaves, length, constant in cases:
         if constant:
@@ -296,9 +309,10 @@ def test_schedule_set_decoder_matches_the_int64_reference():
             p1 = rng.uniform(0.02, 0.98, (leaves, length, 2))
         bits = rng.integers(0, 2, size=(rows, length))
         y = rng.integers(0, 2, size=length)
-        want = schedule_set_decoder_reference(bits, y, p1)
-        for dtype in (bool, np.uint8, np.int64):
-            assert schedule_set_decoder(bits.astype(dtype), y, p1) == want
+        pick = schedule_set_decoder(_pack(bits), y, p1)
+        assert pick == schedule_set_decoder_reference(bits, y, p1)
+        exact = schedule_set_exact_scores(bits, y, p1)
+        assert exact[pick] >= max(exact) - 1e-9 * abs(max(exact))
 
 
 @pytest.mark.parametrize("first,second,rows", [(511, 512, 1024), (0, 1536, 3 * 512 + 1)])
@@ -314,7 +328,7 @@ def test_schedule_set_decoder_breaks_an_exact_tie_to_the_lowest_index(first, sec
     p1 = np.empty((2, length, 2))
     p1[0, :, 0], p1[0, :, 1] = 0.1, 0.9
     p1[1, :, 0], p1[1, :, 1] = t, 1.0 - t
-    assert schedule_set_decoder(codebook, y, p1) == first
+    assert schedule_set_decoder(_pack(codebook), y, p1) == first
 
 
 def test_block_plan_caps_and_covers():
@@ -359,8 +373,10 @@ def test_run_cr_phase_agreement_and_errors():
 
 
 def test_run_data_phase_round_trip_at_high_amplitude():
-    # alpha = 4: crossover ~ 1e-29, decoding must be exact with matched seeds
-    jam = JammerStrategy.worst_of([JammerStrategy.from_symbols((0,), "all-0")])
+    # alpha = 4 against a vacuum jammer state: crossover Phi(-4 sqrt 2), about
+    # 8e-9 on both inputs, so decoding must be exact with matched seeds
+    vacuum = JammerStrategy.from_states([JammerGaussian(A=0.5, B=0.5)], "vacuum")
+    jam = JammerStrategy.worst_of([vacuum])
     cfg = SimConfig(alpha=4.0, n=44, k=4, rate=0.25, jammer=jam, master_seed=17)
     rounds = cfg.n - cfg.k
     message = _rng(17, 0, 0, 4).integers(0, 2, size=10, dtype=np.int64)
@@ -461,6 +477,48 @@ def test_simulate_report_shape_and_worker_determinism():
         1.0 - binary_entropy(min(max(rep1.estimated_crossover, 0.0), 0.5)))
     rep2 = simulate(cfg, workers=2)
     assert json.dumps(rep1.to_json_dict()) == json.dumps(rep2.to_json_dict())
+
+
+def test_wilson_interval_matches_hand_computed_values():
+    # 4 of 200 at z = 1.959964: centre (0.02 + z^2/400) / (1 + z^2/200) =
+    # 0.0290457, half-width z sqrt(0.02 * 0.98/200 + z^2/160000) / (1 + z^2/200)
+    # = 0.0212413
+    lo, hi = wilson_interval(4, 200)
+    assert lo == pytest.approx(0.0078044, abs=1e-7)
+    assert hi == pytest.approx(0.0502871, abs=1e-7)
+    # no failures: [0, z^2 / (n + z^2)]
+    z2 = 1.959963984540054 ** 2
+    assert wilson_interval(0, 10) == (0.0, pytest.approx(z2 / (10 + z2), rel=1e-12))
+    assert wilson_interval(10, 10) == (pytest.approx(10 / (10 + z2), rel=1e-12), 1.0)
+    lo, hi = wilson_interval(3, 10)
+    assert (1.0 - hi, 1.0 - lo) == pytest.approx(wilson_interval(7, 10), abs=1e-15)
+    for failures, trials in ((5, 4), (-1, 4), (0, 0), (1.0, 4), (True, 4), (1, 4.0)):
+        with pytest.raises(ValueError):
+            wilson_interval(failures, trials)
+
+
+def test_report_states_error_intervals_and_splits_seed_failures():
+    # the thermal source carries no correlation, so seed transfers fail often
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    source="thermal", master_seed=33, trials=6, cr_seed_bits=3)
+    rep = simulate(cfg)
+    data = rep.to_json_dict()
+    assert data["schema_version"] == 2
+    failed_total = 0
+    for label, stats in rep.per_strategy.items():
+        rows = [row for row in rep.per_trial if row["strategy"] == label]
+        failures = sum(not row["message_ok"] for row in rows)
+        assert stats["error_ci95"] == list(wilson_interval(failures, len(rows)))
+        assert stats["error_ci95"][0] <= stats["empirical_error"] <= stats["error_ci95"][1]
+        flagged = sum(not row["seed_ok"] and not row["parity_ok"] for row in rows)
+        silent = sum(not row["seed_ok"] and row["parity_ok"] for row in rows)
+        assert (stats["seed_failures_flagged"], stats["seed_failures_silent"]) == (flagged, silent)
+        assert flagged + silent == round((1.0 - stats["seed_agreement_rate"]) * len(rows))
+        failed_total += flagged + silent
+    assert failed_total > 0
+    worst = max(sum(not row["message_ok"] for row in rep.per_trial if row["strategy"] == label)
+                for label in rep.per_strategy)
+    assert data["worst_error_ci95"] == list(wilson_interval(worst, cfg.trials))
 
 
 def test_simulate_modes_without_side_rounds():
