@@ -323,8 +323,8 @@ class SimConfig:
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval (Wilson 1927) of a binomial rate, 95% two-sided by default.
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval (Wilson 1927) of a binomial rate.
 
     Unlike the normal approximation it stays inside [0, 1] and does not
     collapse to a point at 0 or `trials` failures.
@@ -335,9 +335,9 @@ def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float,
         raise ValueError(f"need 0 <= failures <= trials and trials >= 1, "
                          f"got {failures} of {trials}")
     p = failures / trials
-    zz = z * z / trials
+    zz = _Z95 * _Z95 / trials
     centre = (p + zz / 2.0) / (1.0 + zz)
-    half = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials)) / (1.0 + zz)
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials)) / (1.0 + zz)
     # the ends are exactly 0 and 1 there; centre -/+ half rounds off them
     low = 0.0 if failures == 0 else centre - half
     high = 1.0 if failures == trials else centre + half
@@ -645,14 +645,18 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
                          p1: np.ndarray) -> int:
     """Exact likelihood decoding against a candidate set of per-round laws.
 
-    `codebook` is packed as `random_codebook` returns it, with zero padding
-    bits. p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates
+    `codebook` is packed as `random_codebook` returns it: uint8 rows of
+    ceil(L/8) bytes, L the number of rounds in `p1`, with zero padding bits.
+    An unpacked 0/1 codebook is rejected, since its entries would be read as
+    byte values. p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates
     get a uniform prior and the per-block likelihoods are mixed exactly. For
     a single candidate whose rounds form one binary symmetric channel with
     crossover below 1/2 the ranking reduces to Hamming distance.
 
     No BLAS product is involved, and every sum runs in a fixed order, so the
-    pick does not depend on the CPU or the BLAS kernel. Under leaf h a
+    pick does not depend on the BLAS kernel. (The logarithms and the
+    log-sum-exp use numpy's exp/log, whose last bit can depend on the SIMD
+    code numpy dispatches to.) Under leaf h a
     message scores base[h] (the log-likelihood of the all-zero word, summed
     round by round), then plus one table entry per byte column, columns in
     order. The entry for byte value v of column j adds the log-likelihood
@@ -666,6 +670,9 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
     ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
     n_leaves, length, _ = ll.shape
+    if codebook.dtype != np.uint8 or codebook.ndim != 2 or codebook.shape[1] != (length + 7) // 8:
+        raise ValueError(f"codebook must be packed uint8 rows of {(length + 7) // 8} bytes "
+                         f"for {length} rounds, got {codebook.dtype} of shape {codebook.shape}")
     n_messages, row_bytes = codebook.shape
     base = np.cumsum(ll[:, :, 0], axis=1)[:, -1]
     # tables[j, v, h] by 8 doublings: the values with top bit t are those

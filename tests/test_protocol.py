@@ -254,6 +254,28 @@ def test_schedule_set_decoder_uses_the_round_structure():
     assert schedule_set_decoder(_pack(codebook), y2, p1) == 1
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+def test_schedule_set_decoder_rejects_an_unpacked_codebook(dtype):
+    # the (M, L) 0/1 layout would otherwise be read as byte values
+    rng = np.random.default_rng(5)
+    length = 16
+    y = rng.integers(0, 2, size=length)
+    p1 = np.empty((1, length, 2))
+    p1[0, :, 0], p1[0, :, 1] = 0.2, 0.8
+    bits = rng.integers(0, 2, size=(4, length))
+    with pytest.raises(ValueError, match="packed"):
+        schedule_set_decoder(bits.astype(dtype), y, p1)
+    packed = _pack(bits)
+    with pytest.raises(ValueError, match="packed"):
+        schedule_set_decoder(packed.astype(np.int64), y, p1)
+    with pytest.raises(ValueError, match="packed"):
+        schedule_set_decoder(packed[:, :1], y, p1)
+    with pytest.raises(ValueError, match="packed"):
+        schedule_set_decoder(packed[0], y, p1)
+    dists = (bits != y).sum(axis=1)
+    assert dists[schedule_set_decoder(packed, y, p1)] == dists.min()
+
+
 def test_random_codebook_is_seed_keyed_and_deterministic():
     seed = np.array([1, 0, 1], dtype=np.int64)
     a = random_codebook(4, 10, 7, 0, 3, seed, 0)
