@@ -9,12 +9,13 @@ BSC composition, capacity and symmetrizability live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bivariate import BinaryJointDist
+from .gaussian import _json_fields, _json_object, _require_finite
 
 ROW_ATOL = 1e-12
 BSC_ATOL = 1e-10
@@ -68,7 +69,10 @@ class ChannelTable:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=float)
+        try:
+            w = np.array(self.w, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"w must be an array of numbers: {exc}") from None
         shape = (len(self.states), len(self.inputs), len(self.outputs))
         if w.shape != shape:
             raise ValueError(f"w must have shape {shape}, got {w.shape}")
@@ -100,23 +104,11 @@ class ChannelTable:
         return ChannelTable(states, inputs, self.outputs, self.w[np.ix_(si, xi)])
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "states": list(self.states),
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "w": self.w.tolist(),
-        }
+        return {"schema_version": 1, **asdict(self, dict_factory=_json_object)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ChannelTable":
-        for key in ("states", "inputs", "outputs", "w"):
-            if key not in data:
-                raise ValueError(f"channel JSON missing field '{key}'")
-        return cls(
-            tuple(data["states"]), tuple(data["inputs"]), tuple(data["outputs"]),
-            np.array(data["w"], dtype=float),
-        )
+    def from_json_dict(cls, data) -> "ChannelTable":
+        return cls(**_json_fields(cls, data, "channel table"))
 
 
 def binary_entropy(t: float) -> float:
@@ -140,6 +132,7 @@ def crossover_probs(alpha: float) -> tuple[float, float]:
     symbol; p_tilde when exactly one side contributes the entangled/thermal
     symbol. Both tend to 1/2 as alpha -> 0 and to 0 as alpha grows.
     """
+    _require_finite("amplitude", alpha)
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     p = 0.5 * math.erfc(2.0 * alpha)
@@ -223,18 +216,18 @@ def effective_channel(q: BinaryJointDist, base: ChannelTable) -> ChannelTable:
     return ChannelTable(base.states, base.inputs, base.outputs, w)
 
 
-def is_bsc(table: ChannelTable, atol: float = BSC_ATOL) -> Optional[BscParam]:
+def is_bsc(table: ChannelTable) -> Optional[BscParam]:
     """BscParam(t) if the table is one state-independent BSC, else None."""
     if table.inputs != (0, 1) or table.outputs != (0, 1):
         return None
     offdiag = np.concatenate([table.w[:, 0, 1], table.w[:, 1, 0]])
     t = float(offdiag.mean())
-    if np.abs(offdiag - t).max() > atol:
+    if np.abs(offdiag - t).max() > BSC_ATOL:
         return None
     return BscParam(t)
 
 
-def average_crossover(table: ChannelTable, atol: float = BSC_ATOL) -> Optional[float]:
+def average_crossover(table: ChannelTable) -> Optional[float]:
     """Input-averaged flip probability (w(1|s,0) + w(0|s,1)) / 2, if state-independent.
 
     Strictly weaker than is_bsc: a biased table whose two rows flip in
@@ -245,7 +238,7 @@ def average_crossover(table: ChannelTable, atol: float = BSC_ATOL) -> Optional[f
         return None
     per_state = 0.5 * (table.w[:, 0, 1] + table.w[:, 1, 0])
     t = float(per_state.mean())
-    if np.abs(per_state - t).max() > atol:
+    if np.abs(per_state - t).max() > BSC_ATOL:
         return None
     return t
 

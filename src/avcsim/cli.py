@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -98,7 +99,7 @@ def cmd_symmetrize(args) -> int:
     try:
         with open(args.channel, encoding="utf-8") as fh:
             table = ChannelTable.from_json_dict(json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad channel file: {exc}", file=sys.stderr)
         return 2
     try:
@@ -124,13 +125,11 @@ def cmd_symmetrize(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        if args.trials is not None:
-            data["trials"] = args.trials
-        config = SimConfig.from_json_dict(data)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            config = SimConfig.from_json_dict(json.load(fh))
+        overrides = {"master_seed": args.seed, "trials": args.trials}
+        config = dataclasses.replace(
+            config, **{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     started = time.time()

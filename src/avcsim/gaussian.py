@@ -11,6 +11,7 @@ frozen dataclasses and never mutated in place.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,14 +66,51 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return nus[::2].copy()
 
 
-def is_physical(cov: np.ndarray, atol: float = PHYSICALITY_ATOL) -> bool:
+def is_physical(cov: np.ndarray) -> bool:
     """True when cov + i*Omega/2 >= 0, i.e. min symplectic eigenvalue >= 1/2."""
-    return bool(symplectic_eigenvalues(cov).min() >= 0.5 - atol)
+    return bool(symplectic_eigenvalues(cov).min() >= 0.5 - PHYSICALITY_ATOL)
 
 
 def _require_finite(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _json_fields(cls, data, what: str) -> dict:
+    """Constructor arguments of dataclass `cls` from a decoded JSON object.
+
+    The object must name only fields of `cls` (plus an ignored
+    `schema_version`) and every field without a default; a field annotated
+    `tuple` takes a list. Lists become tuples; `__post_init__` checks the rest.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields} - {"schema_version"})
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+    for f in fields:
+        if f.name not in data and f.default is dataclasses.MISSING:
+            raise ValueError(f"{what} missing field '{f.name}'")
+        if f.type in ("tuple", tuple) and not isinstance(data.get(f.name, []), list):
+            raise ValueError(f"{what} field '{f.name}' must be a list, got {data[f.name]!r}")
+    return {f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
+            for f in fields if f.name in data}
+
+
+def _json_object(pairs) -> dict:
+    """`dataclasses.asdict` factory for a JSON object: tuples and arrays become
+    lists, and empty tuples (fields that do not apply) are left out."""
+    out = {}
+    for name, value in pairs:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            if not value:
+                continue
+            value = list(value)
+        out[name] = value
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -122,19 +160,13 @@ def thermal_state(mean_photons: float) -> GaussianState:
     return GaussianState(1, np.zeros(2), g * np.eye(2))
 
 
-def tmsv_state(r: float, theta: float = 0.0) -> GaussianState:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
-
-    theta is the squeezing phase. theta != 0 rotates the correlated
-    quadratures; the sign-binarization downstream assumes theta = 0, so a
-    nonzero phase is accepted here but the x-x correlation it produces is
-    weaker than cosh/sinh of 2r.
-    """
+def tmsv_state(r: float) -> GaussianState:
+    """Two-mode squeezed vacuum with squeezing parameter r >= 0 (squeezing phase 0)."""
     if r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     c, s = np.cosh(r), np.sinh(r)
-    rot = np.array([[np.cos(theta), np.sin(theta)], [np.sin(theta), -np.cos(theta)]])
-    f = np.block([[c * np.eye(2), s * rot], [s * rot.T, c * np.eye(2)]])
+    rot = np.diag([1.0, -1.0])
+    f = np.block([[c * np.eye(2), s * rot], [s * rot, c * np.eye(2)]])
     return GaussianState(2, np.zeros(4), 0.5 * (f @ f.T))
 
 

@@ -82,8 +82,8 @@ class SimplexCoords:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lambda_c, self.lambda_0, self.lambda_1)
 
-    def in_simplex(self, atol: float = MEMBERSHIP_ATOL) -> bool:
-        return min(self.as_tuple()) >= -atol
+    def in_simplex(self) -> bool:
+        return min(self.as_tuple()) >= -MEMBERSHIP_ATOL
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,11 @@ def _coords_in_shrunken(coords: SimplexCoords, delta: float, atol: float) -> boo
     return mu0 >= -atol and mu1 >= -atol and 1.0 - mu0 - mu1 >= -atol
 
 
-def in_delta_delta(q: BinaryJointDist, delta: float, atol: float = MEMBERSHIP_ATOL) -> bool:
+def in_delta_delta(q: BinaryJointDist, delta: float) -> bool:
     """Membership of q in the delta-shrunken triangle conv({q_c, q~_0, q~_1})."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    return _coords_in_shrunken(barycentric(q), delta, atol)
+    return _coords_in_shrunken(barycentric(q), delta, MEMBERSHIP_ATOL)
 
 
 def default_squeezing(budget: EnergyBudget) -> float:

@@ -20,7 +20,7 @@ import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,8 @@ from .bivariate import (
     std_normal_cdf_array,
 )
 from .channels import ChannelTable, binary_entropy
-from .gaussian import JammerGaussian, _require_finite, receiver_port_moments
+from .gaussian import (JammerGaussian, _json_fields, _json_object, _require_finite,
+                       receiver_port_moments)
 
 _MASK64 = (1 << 64) - 1
 
@@ -102,6 +103,12 @@ class JammerStrategy:
     def __post_init__(self):
         if self.kind not in ("symbols", "gaussian", "worst_of"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        own = {"symbols": "symbols", "gaussian": "states", "worst_of": "options"}[self.kind]
+        for name in ("symbols", "states", "options"):
+            if name != own and getattr(self, name):
+                raise ValueError(f"a {self.kind} strategy takes no {name}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"strategy label must be a string, got {self.label!r}")
         if self.kind == "symbols":
             for s in self.symbols:
                 _require_integer("jammer symbol", s)
@@ -115,6 +122,8 @@ class JammerStrategy:
                 raise ValueError("worst_of needs at least one option")
             if any(o.kind == "worst_of" for o in self.options):
                 raise ValueError("worst_of does not nest")
+            if len({o.label for o in self.options}) < len(self.options):
+                raise ValueError("worst_of options need distinct labels (the report keys)")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -159,31 +168,18 @@ class JammerStrategy:
         return big_a, disp
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "label": self.label}
-        if self.kind == "symbols":
-            out["symbols"] = list(self.symbols)
-        elif self.kind == "gaussian":
-            out["states"] = [
-                {"A": t.A, "B": t.B, "C": t.C, "a": t.a, "b": t.b} for t in self.states
-            ]
-        else:
-            out["options"] = [o.to_json_dict() for o in self.options]
-        return out
+        """The fields, without the (empty) ones of the other kinds."""
+        return asdict(self, dict_factory=_json_object)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "JammerStrategy":
-        kind = data.get("kind")
-        label = data.get("label", "")
-        if kind == "symbols":
-            return cls.from_symbols(data["symbols"], label)
-        if kind == "gaussian":
-            states = [JammerGaussian(**st) for st in data["states"]]
-            return cls.from_states(states, label)
-        if kind == "worst_of":
-            return cls.worst_of(
-                [cls.from_json_dict(o) for o in data["options"]], label
-            )
-        raise ValueError(f"unknown strategy kind {kind!r}")
+    def from_json_dict(cls, data) -> "JammerStrategy":
+        kw = _json_fields(cls, data, "jammer")
+        if "states" in kw:
+            kw["states"] = tuple(JammerGaussian(**_json_fields(JammerGaussian, st, "jammer state"))
+                                 for st in kw["states"])
+        if "options" in kw:
+            kw["options"] = tuple(cls.from_json_dict(o) for o in kw["options"])
+        return cls(**kw)
 
 
 def canonical_schedules() -> JammerStrategy:
@@ -287,36 +283,12 @@ class SimConfig:
         return cls(alpha=alpha, n=n, k=k, rate=rate, jammer=jammer, **kw)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "alpha": self.alpha,
-            "n": self.n,
-            "k": self.k,
-            "rate": self.rate,
-            "jammer": self.jammer.to_json_dict(),
-            "code_mode": self.code_mode,
-            "source": self.source,
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "eta": self.eta,
-            "r": self.r,
-            "cr_seed_bits": self.cr_seed_bits,
-            "max_block_bits": self.max_block_bits,
-        }
+        return {"schema_version": 1, **asdict(self, dict_factory=_json_object)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SimConfig":
-        required = ("alpha", "n", "k", "rate", "jammer")
-        for key in required:
-            if key not in data:
-                raise ValueError(f"config missing field '{key}'")
-        kw = {key: data[key] for key in data
-              if key in ("code_mode", "source", "master_seed", "trials", "eta",
-                         "r", "cr_seed_bits", "max_block_bits")}
-        return cls(
-            alpha=data["alpha"], n=data["n"], k=data["k"], rate=data["rate"],
-            jammer=JammerStrategy.from_json_dict(data["jammer"]), **kw,
-        )
+    def from_json_dict(cls, data) -> "SimConfig":
+        kw = _json_fields(cls, data, "config")
+        return cls(**dict(kw, jammer=JammerStrategy.from_json_dict(kw["jammer"])))
 
 
 # two-sided 95% quantile of the standard normal
@@ -874,18 +846,6 @@ def _run_task(args: tuple) -> tuple[int, int, dict]:
     return strategy_idx, trial, _run_trial(config, strategy, strategy_idx, trial)
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use.
-
-    Only simulate(workers > 1) opens a pool, and importing it (with
-    multiprocessing) costs every other avcsim process about 2 MB of
-    resident memory.
-    """
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(*args, **kwargs)
-
-
 def _pool_size(requested: int, tasks: int) -> int:
     """Worker processes worth starting: no more than tasks or CPUs, at least 1."""
     return max(1, min(requested, tasks, os.cpu_count() or 1))
@@ -911,6 +871,10 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
         for si, t, rec in results:
             records[si * config.trials + t] = rec
     else:
+        # imported here: multiprocessing costs every process that never opens
+        # a pool about 2 MB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for si, t, rec in pool.map(_run_task, tasks, chunksize=8):
                 records[si * config.trials + t] = rec

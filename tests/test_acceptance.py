@@ -196,10 +196,10 @@ def test_criterion_06_effective_channel_is_state_independent_bsc():
                     f"flip w(1-x | s={s}, x={x}) at lambda={tuple(lam)}: "
                     f"{eff.w[s, x, 1 - x]} != {flip}")
                 assert abs(eff.w[s, x, x] - (1.0 - flip)) <= 1e-10
-        t_avg = average_crossover(eff, atol=1e-10)
+        t_avg = average_crossover(eff)
         assert t_avg is not None
         assert abs(t_avg - (0.5 - coords.lambda_c / 4.0)) <= 1e-10
-        assert is_bsc(eff, atol=1e-10) is None, (
+        assert is_bsc(eff) is None, (
             f"effective channel a BSC off lambda_0 = lambda_1 at lambda={tuple(lam)}")
     for _ in range(200):
         delta = rng.uniform(0.0, 0.9)
@@ -209,13 +209,13 @@ def test_criterion_06_effective_channel_is_state_independent_bsc():
             (1.0 - delta) * mu[1],
             (1.0 - delta) * mu[2],
         )
-        t_avg = average_crossover(effective_channel(from_barycentric(coords), base), atol=1e-10)
+        t_avg = average_crossover(effective_channel(from_barycentric(coords), base))
         assert t_avg is not None
         assert t_avg <= 0.5 - delta / 4.0 + 1e-10
     for _ in range(200):
         side = rng.uniform(0.0, 0.5)
         coords = SimplexCoords(1.0 - 2.0 * side, side, side)
-        verdict = is_bsc(effective_channel(from_barycentric(coords), base), atol=1e-10)
+        verdict = is_bsc(effective_channel(from_barycentric(coords), base))
         assert verdict is not None, f"not a BSC on lambda_0 = lambda_1 = {side}"
         assert abs(verdict.t - (0.5 - coords.lambda_c / 4.0)) <= 1e-10
 

@@ -65,6 +65,12 @@ def test_crossover_probs_against_erfc_oracle():
         crossover_probs(0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_crossover_probs_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="^amplitude must be a finite number"):
+        crossover_probs(alpha)
+
+
 def test_crossover_probs_limits():
     p_small, pt_small = crossover_probs(1e-9)
     assert p_small == pytest.approx(0.5, abs=1e-8)
@@ -97,7 +103,7 @@ def test_channel_table_json_round_trip():
     clone = ChannelTable.from_json_dict(tab.to_json_dict())
     assert clone.states == tab.states
     assert np.array_equal(clone.w, tab.w)
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="missing field 'w'"):
         ChannelTable.from_json_dict({"states": [0], "inputs": [0], "outputs": [0]})
 
 

@@ -107,6 +107,23 @@ def test_symmetrize_input_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("bad channel file:")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"states": 5}, "channel table field 'states' must be a list"),
+    ({"weights": []}, "channel table has unknown field(s) 'weights'"),
+    ({"w": [[[{}, 1.0]]]}, "w must be an array of numbers"),
+    (None, "channel table must be a JSON object"),
+])
+def test_symmetrize_rejects_malformed_channel_file_with_exit_2(change, message, tmp_path,
+                                                               capsys):
+    data = avc_kernel(1.0).to_json_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(data, **change) if change else [data]))
+    assert main(["symmetrize", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad channel file: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_simulate_writes_report_bundle(tmp_path, capsys):
     cfg_path = _sim_config_file(tmp_path)
     out_dir = tmp_path / "run"
@@ -193,6 +210,11 @@ BAD_JAMMERS = [
      "jammer state a must be a finite number"),
     ({"kind": "gaussian", "states": [{"A": float("inf"), "B": 0.5}]},
      "jammer state A must be a finite number"),
+    ({"kind": "symbols"}, "symbol schedules need a nonempty tuple"),
+    (5, "jammer must be a JSON object"),
+    ({"kind": "worst_of", "options": [5]}, "jammer must be a JSON object"),
+    ({"kind": "gaussian", "states": [{"A": 0.5, "B": 0.5, "x": 1.0}]},
+     "jammer state has unknown field(s) 'x'"),
 ]
 
 
@@ -204,7 +226,19 @@ def test_simulate_rejects_bad_jammer_with_exit_2(jammer, message, tmp_path, caps
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith(f"bad config: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad config: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rejects_unknown_config_field_with_exit_2(tmp_path, capsys):
+    data = json.loads(_sim_config_file(tmp_path).read_text())
+    data["trails"] = 50
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "bad config: config has unknown field(s) 'trails'\n"
     assert not (tmp_path / "run").exists()
 
 

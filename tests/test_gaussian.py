@@ -113,12 +113,6 @@ def test_tmsv_marginal_is_thermal_with_sinh_squared_photons():
     assert mean_photon_number(reduced) == pytest.approx(math.sinh(r) ** 2, abs=1e-12)
 
 
-def test_nonzero_squeezing_phase_stays_physical_but_shifts_correlation():
-    st = tmsv_state(0.8, theta=0.4)
-    assert is_physical(st.cov)
-    assert st.cov[0, 2] < 0.5 * math.sinh(1.6)  # weaker x-x correlation than theta=0
-
-
 def test_tensor_stacks_blocks():
     a, b = coherent_state(1.0), thermal_state(0.5)
     both = tensor(a, b)

@@ -86,6 +86,12 @@ def test_strategy_validation_and_labels():
         JammerStrategy.from_states([])
     with pytest.raises(ValueError):
         JammerStrategy.worst_of([w])  # no nesting
+    with pytest.raises(ValueError, match="distinct labels"):
+        JammerStrategy.worst_of([s, JammerStrategy.from_symbols((1,), label=s.label)])
+    with pytest.raises(ValueError, match="takes no states"):
+        JammerStrategy(kind="symbols", symbols=(0,), states=g.states)
+    with pytest.raises(ValueError, match="label must be a string"):
+        JammerStrategy.from_symbols((0,), label=5)
 
 
 def test_strategy_round_params_tiling_and_offset():
@@ -109,8 +115,10 @@ def test_strategy_json_round_trip():
         canonical_schedules(),
     ]
     for s in strategies:
-        clone = JammerStrategy.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+        data = json.loads(json.dumps(s.to_json_dict()))
+        clone = JammerStrategy.from_json_dict(data)
         assert clone == s
+        assert clone.to_json_dict() == data
     with pytest.raises(ValueError):
         JammerStrategy.from_json_dict({"kind": "mystery"})
 
@@ -170,8 +178,10 @@ def test_sim_config_json_round_trip():
                              master_seed=99, trials=3, source="thermal")
     clone = SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
     assert clone == cfg
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="missing field 'jammer'"):
         SimConfig.from_json_dict({"alpha": 1.0, "n": 8, "k": 0, "rate": 0.1})
+    with pytest.raises(ValueError, match="unknown field"):
+        SimConfig.from_json_dict(dict(cfg.to_json_dict(), trails=50))
 
 
 def test_bpsk_sampler_matches_kernel_crossover():
@@ -608,7 +618,7 @@ def test_simulate_clamps_workers_before_opening_a_pool(monkeypatch):
         raise AssertionError("a process pool was opened")
 
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = SimConfig(alpha=1.0, n=24, k=8, rate=0.25, jammer=canonical_schedules(),
                     master_seed=123, trials=1, cr_seed_bits=1)
     assert simulate(cfg, workers=10**9) == simulate(cfg)
