@@ -42,6 +42,15 @@ def _dump_json(path: str, data: dict) -> None:
         fh.write("\n")
 
 
+def _load_json(path: str):
+    """The JSON value in a file; nesting too deep to parse is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON in {path} is nested too deeply") from None
+
+
 def _write_manifest(out_dir: str, command: str, config: dict, seed, outputs: list[str],
                     started: float) -> str:
     path = os.path.join(out_dir, "manifest.json")
@@ -97,8 +106,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     try:
-        with open(args.channel, encoding="utf-8") as fh:
-            table = ChannelTable.from_json_dict(json.load(fh))
+        table = ChannelTable.from_json_dict(_load_json(args.channel))
     except (OSError, ValueError) as exc:
         print(f"bad channel file: {exc}", file=sys.stderr)
         return 2
@@ -124,18 +132,21 @@ def cmd_symmetrize(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = SimConfig.from_json_dict(json.load(fh))
+        config = SimConfig.from_json_dict(_load_json(args.config))
         overrides = {"master_seed": args.seed, "trials": args.trials}
         config = dataclasses.replace(
             config, **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
+    out_dir = _out_dir(args.out)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 2
     started = time.time()
     report = simulate(config, workers=args.workers)
-    out_dir = _out_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     trials_path = os.path.join(out_dir, "trials.csv")
     payload = report.to_json_dict()

@@ -56,7 +56,6 @@ __all__ = [
     "SimReport",
     "canonical_schedules",
     "jammer_state_for_symbol",
-    "sample_round",
     "run_correlation_phase",
     "run_cr_phase",
     "run_data_phase",
@@ -178,6 +177,9 @@ class JammerStrategy:
             kw["states"] = tuple(JammerGaussian(**_json_fields(JammerGaussian, st, "jammer state"))
                                  for st in kw["states"])
         if "options" in kw:
+            # checked before recursing, so no nesting depth exhausts the stack
+            if any(isinstance(o, dict) and o.get("options") for o in kw["options"]):
+                raise ValueError("worst_of does not nest")
             kw["options"] = tuple(cls.from_json_dict(o) for o in kw["options"])
         return cls(**kw)
 
@@ -477,30 +479,6 @@ def _data_flip_tables(config: SimConfig, rounds: int) -> np.ndarray:
     ])
     p1.flags.writeable = False
     return p1
-
-
-def sample_round(x: int, jammer, alpha: float, rng: np.random.Generator,
-                 eta: float = 0.5, r: Optional[float] = None,
-                 source: str = "tmsv") -> tuple[int, Optional[int]]:
-    """One channel use: returns (y, u).
-
-    For BPSK symbols x in {0, 1}, y is the receiver's symbol estimate
-    (0 for a nonnegative quadrature) and u is None. For x = 2 the sender
-    keeps one half of the entangled pair: both returned bits are sign bits
-    (1 for nonnegative), so their joint law is the quadrant distribution.
-    `jammer` is a letter in {0, 1, 2} or an explicit JammerGaussian.
-    """
-    tau = jammer_state_for_symbol(jammer, alpha) if isinstance(jammer, int) else jammer
-    big_a = np.array([tau.A])
-    disp = np.array([tau.a])
-    if x in (0, 1):
-        y = _bpsk_outputs(np.array([x]), big_a, disp, alpha, eta, rng)
-        return int(y[0]), None
-    if x != 2:
-        raise ValueError(f"sender symbol must be 0, 1 or 2, got {x}")
-    r = math.asinh(alpha) if r is None else r
-    u, v = _pair_outputs(big_a, disp, r, eta, rng, source)
-    return int(v[0]), int(u[0])
 
 
 # --- protocol phases --------------------------------------------------------
@@ -810,23 +788,16 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
             0, 2, size=config.cr_seed_bits, dtype=np.int64)
         cr = run_cr_phase(u_bits, v_bits, half, strategy, config, sender_seed,
                           _rng(seed, strategy_idx, trial, _TAG_PHASE2))
-        receiver_seed = cr["received"]
-        seed_ok = cr["agree"]
-        parity_ok = cr["parity_ok"]
-        t_hat = cr["t_hat"]
-    elif config.code_mode == "common-randomness":
-        shared = _rng(seed, strategy_idx, trial, _TAG_FREE_SEED).integers(
-            0, 2, size=config.cr_seed_bits, dtype=np.int64)
-        sender_seed = receiver_seed = shared
-        seed_ok = parity_ok = True
-        t_hat = 0.0
     else:
-        sender_seed = receiver_seed = np.zeros(0, dtype=np.int64)
-        seed_ok = parity_ok = True
-        t_hat = 0.0
+        # no side phase: both ends hold a free seed, of no width in
+        # deterministic mode, as if a flawless transfer had delivered it
+        width = config.cr_seed_bits if config.code_mode == "common-randomness" else 0
+        sender_seed = _rng(seed, strategy_idx, trial, _TAG_FREE_SEED).integers(
+            0, 2, size=width, dtype=np.int64)
+        cr = {"received": sender_seed, "agree": True, "parity_ok": True, "t_hat": 0.0}
     message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
         0, 2, size=_message_bit_count(config), dtype=np.int64)
-    decoded = run_data_phase(message, sender_seed, receiver_seed,
+    decoded = run_data_phase(message, sender_seed, cr["received"],
                              config.n - config.k, strategy, config, strategy_idx,
                              trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
     return {
@@ -835,15 +806,10 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
         "message_ok": bool(np.array_equal(message, decoded)),
         "bit_errors": int((message != decoded).sum()),
         "message_bits": int(len(message)),
-        "seed_ok": bool(seed_ok),
-        "parity_ok": bool(parity_ok),
-        "t_hat": t_hat,
+        "seed_ok": cr["agree"],
+        "parity_ok": cr["parity_ok"],
+        "t_hat": cr["t_hat"],
     }
-
-
-def _run_task(args: tuple) -> tuple[int, int, dict]:
-    config, strategy, strategy_idx, trial = args
-    return strategy_idx, trial, _run_trial(config, strategy, strategy_idx, trial)
 
 
 def _pool_size(requested: int, tasks: int) -> int:
@@ -864,25 +830,21 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
         for si, leaf in enumerate(leaves)
         for t in range(config.trials)
     ]
-    records: list = [None] * len(tasks)
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
-        results = map(_run_task, tasks)
-        for si, t, rec in results:
-            records[si * config.trials + t] = rec
+        records = [_run_trial(*task) for task in tasks]
     else:
         # imported here: multiprocessing costs every process that never opens
         # a pool about 2 MB of resident memory
         from concurrent.futures import ProcessPoolExecutor
 
+        # map returns results in task order, whatever order they finish in
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for si, t, rec in pool.map(_run_task, tasks, chunksize=8):
-                records[si * config.trials + t] = rec
-    ordered = records
+            records = list(pool.map(_run_trial, *zip(*tasks), chunksize=8))
     per_strategy = {}
     failures = []
     for si, leaf in enumerate(leaves):
-        rows = ordered[si * config.trials : (si + 1) * config.trials]
+        rows = records[si * config.trials : (si + 1) * config.trials]
         failures.append(sum(not row["message_ok"] for row in rows))
         per_strategy[leaf.label] = {
             "empirical_error": failures[-1] / len(rows),
@@ -902,7 +864,7 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
     return SimReport(
         config=config,
         per_strategy=per_strategy,
-        per_trial=tuple(ordered),
+        per_trial=tuple(records),
         worst_error=worst_error,
         worst_error_ci95=wilson_interval(max(failures), config.trials),
         estimated_crossover=t_worst,

@@ -321,6 +321,17 @@ def test_quadrant_kernel_checks_reject_bad_rows():
         quadrant_laws([0.1, 0.2], [0.5])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _RHO),
+                min_size=1, max_size=16))
+def test_quadrant_laws_lie_on_the_affine_hull(rows):
+    # the sender's record is centred, so its bit is a fair coin: q00 + q01
+    # = 1/2, the affine hull on which barycentric coordinates are defined
+    b, rho = zip(*rows)
+    q = quadrant_laws(list(b), list(rho))
+    assert np.all(np.abs(q[:, 0, 0] + q[:, 0, 1] - 0.5) <= 1e-15), rows
+
+
 def test_quadrant_kernel_far_tails_near_unit_correlation():
     # past |b| of about 1e77 the near-|rho| = 1 series overflowed and met an
     # exact zero (0 * inf = NaN); the law is the receiver bit's certainty

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import avcsim
+import avcsim.cli as cli
 from avcsim.channels import avc_kernel, bsc_table, crossover_probs
 from avcsim.cli import main
 from avcsim.protocol import SimConfig, canonical_schedules
@@ -163,6 +164,32 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alpha": 1.0, "n": 24}))
     assert main(["simulate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command, prefix", [("simulate", "bad config: "),
+                                             ("symmetrize", "bad channel file: ")])
+def test_deeply_nested_json_exits_2(command, prefix, tmp_path, capsys):
+    # too deep for the JSON parser's recursion, which raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main([command, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "JSON in ") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_simulate_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub"
+    assert main(["simulate", str(_sim_config_file(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_module_entry_point_runs():

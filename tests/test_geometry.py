@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avcsim.geometry as geometry
 from avcsim.bivariate import BinaryJointDist
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, symplectic_eigenvalues
 from avcsim.geometry import (
+    COORD_SUM_ATOL,
     CSV_COLUMNS,
     EnergyBudget,
     SimplexCoords,
@@ -70,6 +73,20 @@ def test_barycentric_round_trip():
         coords = SimplexCoords(*lam)
         back = barycentric(from_barycentric(coords))
         assert back.as_tuple() == pytest.approx(coords.as_tuple(), abs=1e-12)
+
+
+@st.composite
+def _simplex_points(draw):
+    l0 = draw(st.floats(0.0, 1.0))
+    l1 = draw(st.floats(0.0, 1.0 - l0))
+    return SimplexCoords(1.0 - l0 - l1, l0, l1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_simplex_points())
+def test_barycentric_round_trip_property(coords):
+    back = barycentric(from_barycentric(coords))
+    assert back.as_tuple() == pytest.approx(coords.as_tuple(), abs=COORD_SUM_ATOL)
 
 
 def test_barycentric_rejects_off_hull_points():

@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcsim.bivariate import BinaryJointDist, quadrant_distribution, homodyne_xx, std_normal_cdf
 from avcsim.channels import avc_kernel, binary_entropy, bsc_table, crossover_probs
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 from avcsim.protocol import (
+    CODE_MODES,
+    SOURCES,
     JammerStrategy,
     SimConfig,
     canonical_schedules,
@@ -20,7 +24,6 @@ from avcsim.protocol import (
     run_correlation_phase,
     run_cr_phase,
     run_data_phase,
-    sample_round,
     schedule_set_decoder,
     simulate,
     symmetrizing_attack_error,
@@ -184,6 +187,62 @@ def test_sim_config_json_round_trip():
         SimConfig.from_json_dict(dict(cfg.to_json_dict(), trails=50))
 
 
+_POSITIVE = st.floats(1e-6, 1e6, allow_nan=False)
+_REAL = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _jammer_states(draw):
+    big_a, big_b = draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 100.0))
+    # |C| stays below the largest value AB - C^2 >= 1/4 allows
+    c = draw(st.floats(-0.99, 0.99)) * math.sqrt(big_a * big_b - 0.25)
+    return JammerGaussian(A=big_a, B=big_b, C=c, a=draw(_REAL), b=draw(_REAL))
+
+
+_LEAVES = st.one_of(
+    st.builds(JammerStrategy.from_symbols,
+              st.lists(st.integers(0, 2), min_size=1, max_size=6), st.text(max_size=8)),
+    st.builds(JammerStrategy.from_states,
+              st.lists(_jammer_states(), min_size=1, max_size=3), st.text(max_size=8)),
+)
+_JAMMERS = st.one_of(
+    _LEAVES,
+    st.builds(JammerStrategy.worst_of,
+              st.lists(_LEAVES, min_size=1, max_size=4, unique_by=lambda leaf: leaf.label),
+              st.text(max_size=8)),
+)
+
+
+@st.composite
+def _sim_configs(draw):
+    n = draw(st.integers(1, 10**6))
+    # correlation-assisted mode needs an even 2 <= k < n
+    mode = draw(st.sampled_from(CODE_MODES if n > 2 else ("deterministic", "common-randomness")))
+    k = 2 * draw(st.integers(1, (n - 1) // 2)) if mode == "correlation-assisted" else 0
+    return SimConfig(
+        alpha=draw(_POSITIVE), n=n, k=k, rate=draw(st.floats(1e-9, 1.0)),
+        jammer=draw(_JAMMERS), code_mode=mode, source=draw(st.sampled_from(SOURCES)),
+        master_seed=draw(st.integers(0, 2**64 - 1)), trials=draw(st.integers(1, 10**6)),
+        eta=draw(st.floats(1e-9, 1.0)), r=draw(st.none() | _POSITIVE),
+        cr_seed_bits=draw(st.integers(1, 64)), max_block_bits=draw(st.integers(1, 16)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sim_configs())
+def test_sim_config_json_round_trip_property(cfg):
+    assert SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+
+def test_nested_worst_of_is_a_value_error_at_any_depth():
+    # parsing checks the options before recursing into them, so a nesting
+    # too deep for the interpreter's stack is still reported as invalid
+    data = {"kind": "symbols", "symbols": [0]}
+    for _ in range(5000):
+        data = {"kind": "worst_of", "options": [data]}
+    with pytest.raises(ValueError, match="worst_of does not nest"):
+        JammerStrategy.from_json_dict(data)
+
+
 def test_bpsk_sampler_matches_kernel_crossover():
     # matched jammer letter: flip rate = p; thermal letter: p_tilde; at
     # eta = 1/2 the opposing letter cancels the signal: flip rate 1/2
@@ -222,18 +281,6 @@ def test_thermal_pair_sampler_has_uncorrelated_sender_bit():
     assert abs(u.mean() - 0.5) <= 4 * math.sqrt(0.25 / n)
     corr = np.corrcoef(u, v)[0, 1]
     assert abs(corr) <= 4 / math.sqrt(n)
-
-
-def test_sample_round_contract():
-    rng = np.random.default_rng(64)
-    y, u = sample_round(0, 0, 1.0, rng)
-    assert y in (0, 1) and u is None
-    y, u = sample_round(2, 1, 1.0, rng)
-    assert y in (0, 1) and u in (0, 1)
-    y, u = sample_round(2, JammerGaussian(A=0.5, B=0.5), 1.0, rng, source="thermal")
-    assert y in (0, 1) and u in (0, 1)
-    with pytest.raises(ValueError):
-        sample_round(5, 0, 1.0, rng)
 
 
 def test_schedule_set_decoder_reduces_to_hamming_on_a_bsc():
