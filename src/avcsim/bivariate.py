@@ -48,6 +48,8 @@ _CDF_FLAT = 37.0
 # rho^2)) and Phi(-|h - k| / sqrt(1 - rho^2)), have long been exact zeros
 # (from |h - k| of about 15 at rho = 0.925). Capping |h - k| here keeps
 # those products 0 instead of 0 * inf = NaN, and changes no other value.
+# Below |rho| = 0.925, capping h and k keeps h^2 + k^2 (which overflows from
+# about 1.3e154) finite; the integrand is an exact 0 from |h| or |k| of 40.
 _GAP_CAP = 1e50
 
 __all__ = [
@@ -210,6 +212,8 @@ def _upper_orthant(h, k, rho, phi_mh, phi_mk) -> np.ndarray:
 
 def _orthant_far(h, k, rho, phi_mh, phi_mk):
     # Phi(-h) Phi(-k) + (1/2pi) int_0^{asin rho} exp((hk sin t - hs) / cos^2 t) dt
+    h = np.clip(h, -_GAP_CAP, _GAP_CAP)
+    k = np.clip(k, -_GAP_CAP, _GAP_CAP)
     hk = (h * k)[:, None]
     hs = ((h * h + k * k) / 2.0)[:, None]
     asr = np.arcsin(rho)
@@ -289,12 +293,8 @@ def quadrant_distribution(biv: BivariateGaussian) -> BinaryJointDist:
 
 
 def binarized_correlation(q: BinaryJointDist) -> float:
-    """Pearson correlation of the two bits."""
-    pu, pv = q.marginal_first, q.marginal_second
-    var_u, var_v = pu * (1.0 - pu), pv * (1.0 - pv)
-    if var_u <= 0.0 or var_v <= 0.0:
-        raise ValueError("binarized correlation undefined for a deterministic bit")
-    return float((q.q11 - pu * pv) / math.sqrt(var_u * var_v))
+    """Pearson correlation of the two bits; a one-row call of binarized_correlation_array."""
+    return float(binarized_correlation_array(q.as_array()[None])[0])
 
 
 def arcsine_law(rho: float) -> float:
@@ -305,20 +305,8 @@ def arcsine_law(rho: float) -> float:
 
 
 def mutual_information_bits(q: BinaryJointDist) -> float:
-    """Mutual information of the bit pair, in bits. Zero-probability cells are skipped."""
-    pu, pv = q.marginal_first, q.marginal_second
-    marg = {
-        (0, 0): (1.0 - pu) * (1.0 - pv),
-        (0, 1): (1.0 - pu) * pv,
-        (1, 0): pu * (1.0 - pv),
-        (1, 1): pu * pv,
-    }
-    cells = {(0, 0): q.q00, (0, 1): q.q01, (1, 0): q.q10, (1, 1): q.q11}
-    total = 0.0
-    for uv, p in cells.items():
-        if p > 0.0:
-            total += p * math.log2(p / marg[uv])
-    return total
+    """Mutual information of the bit pair in bits; one row of mutual_information_bits_array."""
+    return float(mutual_information_bits_array(q.as_array()[None])[0])
 
 
 def _marginals_array(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,9 +315,9 @@ def _marginals_array(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def binarized_correlation_array(q: np.ndarray) -> np.ndarray:
-    """binarized_correlation of (N, 2, 2) laws, in its operation order, bit for bit.
+    """Pearson correlation of the two bits of each of (N, 2, 2) laws.
 
-    Raises its ValueError when any row has a deterministic bit (or is NaN).
+    Raises ValueError when any row has a deterministic bit (or is NaN).
     """
     pu, pv = _marginals_array(q)
     var_u, var_v = pu * (1.0 - pu), pv * (1.0 - pv)
@@ -339,17 +327,20 @@ def binarized_correlation_array(q: np.ndarray) -> np.ndarray:
 
 
 def mutual_information_bits_array(q: np.ndarray) -> np.ndarray:
-    """mutual_information_bits of (N, 2, 2) laws, in its operation order, bit for bit.
+    """Mutual information of the bit pair of each of (N, 2, 2) laws, in bits.
 
-    The logarithms are math.log2's, which numpy's vectorised log2 need not
-    match in the last bit. Rows need both marginals strictly inside (0, 1),
-    as binarized_correlation_array checks.
+    Zero-probability cells are skipped, and the cells are added in the order
+    00, 01, 10, 11. The logarithms are math.log2's, which numpy's vectorised
+    log2 need not match in the last bit. A positive cell whose marginal
+    product rounds to 0 (a marginal of 1 - 1e-24, say) raises ValueError.
     """
     pu, pv = _marginals_array(q)
     cells = q.reshape(-1, 4)
     marg = np.stack([(1.0 - pu) * (1.0 - pv), (1.0 - pu) * pv, pu * (1.0 - pv), pu * pv],
                     axis=-1)
     live = cells > 0.0
+    if np.any(live & (marg == 0.0)):
+        raise ValueError("mutual information undefined: a positive cell has marginal product 0")
     ratio = np.divide(cells, marg, out=np.ones_like(cells), where=live)
     logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), dtype=float,
                        count=ratio.size).reshape(ratio.shape)

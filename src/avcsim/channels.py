@@ -208,12 +208,18 @@ def effective_channel(q: BinaryJointDist, base: ChannelTable) -> ChannelTable:
     """
     if base.inputs != (0, 1) or base.outputs != (0, 1):
         raise ValueError("effective_channel needs a binary-input binary-output base")
-    qa = q.as_array()
-    w = np.zeros_like(base.w)
-    for u in range(2):
-        for v in range(2):
-            w += qa[u, v] * base.w[:, [u, 1 - u], :][:, :, [v, 1 - v]]
-    return ChannelTable(base.states, base.inputs, base.outputs, w)
+    return ChannelTable(base.states, base.inputs, base.outputs, _xor_mix(q.as_array(), base.w))
+
+
+def _xor_mix(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """out[..., x, y] = sum_{u,v} q[..., u, v] w[..., x XOR u, y XOR v], for bit-pair
+    laws q and binary channels w over broadcast leading axes; the four terms
+    are added to 0.0 in (u, v) order, so every caller gets the same bits."""
+    out = 0.0
+    for u in (0, 1):
+        for v in (0, 1):
+            out = out + q[..., u, v, None, None] * w[..., [u, 1 - u], :][..., [v, 1 - v]]
+    return out
 
 
 def is_bsc(table: ChannelTable) -> Optional[BscParam]:

@@ -51,6 +51,12 @@ def _load_json(path: str):
             raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
+def _cannot_write(exc: OSError, path: str) -> int:
+    """Report an unwritable output (the failing file's name if known) and return 2."""
+    print(f"cannot write {exc.filename or path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _write_manifest(out_dir: str, command: str, config: dict, seed, outputs: list[str],
                     started: float) -> str:
     path = os.path.join(out_dir, "manifest.json")
@@ -93,13 +99,12 @@ def cmd_sweep(args) -> int:
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             sweep_to_csv(records, fh)
+        manifest = _write_manifest(
+            os.path.dirname(out_path) or ".", "sweep",
+            {"alpha": args.alpha, "r": r, "eta": args.eta, "resolution": args.resolution},
+            None, [os.path.basename(out_path)], started)
     except OSError as exc:
-        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-        return 2
-    manifest = _write_manifest(
-        os.path.dirname(out_path) or ".", "sweep",
-        {"alpha": args.alpha, "r": r, "eta": args.eta, "resolution": args.resolution},
-        None, [os.path.basename(out_path)], started)
+        return _cannot_write(exc, out_path)
     print(f"wrote {len(records)} rows to {out_path} (manifest {manifest})")
     return 0
 
@@ -143,26 +148,28 @@ def cmd_simulate(args) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
-        return 2
+        return _cannot_write(exc, out_dir)
     started = time.time()
     report = simulate(config, workers=args.workers)
     report_path = os.path.join(out_dir, "report.json")
-    trials_path = os.path.join(out_dir, "trials.csv")
     payload = report.to_json_dict()
     payload["manifest"] = "manifest.json"
-    _dump_json(report_path, payload)
-    with open(trials_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "trial", "message_ok", "bit_errors",
-                         "message_bits", "seed_ok", "parity_ok", "t_hat"])
-        for row in report.per_trial:
-            writer.writerow([row["strategy"], row["trial"], int(row["message_ok"]),
-                             row["bit_errors"], row["message_bits"],
-                             int(row["seed_ok"]), int(row["parity_ok"]),
-                             repr(row["t_hat"])])
-    _write_manifest(out_dir, "simulate", config.to_json_dict(), config.master_seed,
-                    ["report.json", "trials.csv"], started)
+    try:
+        _dump_json(report_path, payload)
+        with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["strategy", "trial", "message_ok", "bit_errors",
+                             "message_bits", "seed_ok", "parity_ok", "t_hat"])
+            for row in report.per_trial:
+                writer.writerow([row["strategy"], row["trial"], int(row["message_ok"]),
+                                 row["bit_errors"], row["message_bits"],
+                                 int(row["seed_ok"]), int(row["parity_ok"]),
+                                 repr(row["t_hat"])])
+        _write_manifest(out_dir, "simulate", config.to_json_dict(), config.master_seed,
+                        ["report.json", "trials.csv"], started)
+    except OSError as exc:
+        return _cannot_write(exc, out_dir)
     print(f"worst-case error {report.worst_error!r} over "
           f"{config.trials} trials; report at {report_path}")
     return 0

@@ -122,15 +122,10 @@ def barycentric(q: BinaryJointDist) -> SimplexCoords:
 
     Defined only on the affine hull, where q00 + q01 = 1/2; there the
     decomposition is unique: lambda_0 = 2 q10, lambda_1 = 2 q01. Entries may
-    be negative for q outside the triangle itself.
+    be negative for q outside the triangle itself. A one-row call of
+    _barycentric_arrays.
     """
-    if abs(q.q00 + q.q01 - 0.5) > AFFINE_HULL_ATOL:
-        raise ValueError(
-            f"q is off the affine hull: q00 + q01 = {q.q00 + q.q01}, expected 1/2"
-        )
-    l0 = 2.0 * q.q10
-    l1 = 2.0 * q.q01
-    return SimplexCoords(1.0 - l0 - l1, l0, l1)
+    return SimplexCoords(*(float(x[0]) for x in _barycentric_arrays(q.as_array()[None])))
 
 
 def _coords_in_shrunken(coords: SimplexCoords, delta: float, atol: float) -> bool:
@@ -311,9 +306,10 @@ def _quadrant_arrays(big_a: np.ndarray, big_b: np.ndarray, disp: np.ndarray,
 
 
 def _barycentric_arrays(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """barycentric() on (N, 2, 2) laws, with its checks and SimplexCoords' sum check."""
+    """Barycentric coordinates (lambda_c, lambda_0, lambda_1) of (N, 2, 2) laws, with
+    the affine-hull check and SimplexCoords' sum check; both fail on NaN."""
     if not np.all(np.abs(q[:, 0, 0] + q[:, 0, 1] - 0.5) <= AFFINE_HULL_ATOL):
-        raise ValueError("a swept q is off the affine hull q00 + q01 = 1/2")
+        raise ValueError("q is off the affine hull q00 + q01 = 1/2")
     l0 = 2.0 * q[:, 1, 0]
     l1 = 2.0 * q[:, 0, 1]
     lc = 1.0 - l0 - l1

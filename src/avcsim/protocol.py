@@ -32,7 +32,7 @@ from .bivariate import (
     std_normal_cdf,  # noqa: F401  perfbench traces this module attribute
     std_normal_cdf_array,
 )
-from .channels import ChannelTable, binary_entropy
+from .channels import ChannelTable, _xor_mix, binary_entropy
 from .gaussian import (JammerGaussian, _json_fields, _json_object, _require_finite,
                        receiver_port_moments)
 
@@ -355,10 +355,19 @@ class SimReport:
 # --- channel sampling -------------------------------------------------------
 
 
-def _rng(master_seed: int, strategy_idx: int, trial: int, tag: int) -> np.random.Generator:
+def _philox(hi: int, strategy_idx: int, trial: int, tag: int) -> np.random.Philox:
+    """Philox on the key (hi, strategy << 48 | trial << 16 | tag)."""
     lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | (tag & 0xFFFF)
-    key = np.array([lo, master_seed & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=np.array([lo, hi & _MASK64], dtype=np.uint64))
+
+
+def _rng(master_seed: int, strategy_idx: int, trial: int, tag: int) -> np.random.Generator:
+    return np.random.Generator(_philox(master_seed, strategy_idx, trial, tag))
+
+
+def _bits_to_int(bits) -> int:
+    """The integer whose binary digits, most significant first, are `bits`."""
+    return functools.reduce(lambda value, b: (value << 1) | int(b), bits, 0)
 
 
 def _bpsk_law(big_a: np.ndarray, disp: np.ndarray, alpha: float,
@@ -439,21 +448,17 @@ def _vote_model(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
 
     Round i of the transfer phase is global round k/2 + i and consumes the
     sign-bit pair of global round i, so the two schedule slices differ for
-    cyclic schedules. The public mask and the sender's XOR are folded in.
+    cyclic schedules. The vote is the XOR-effective channel of round i's
+    pair law and BPSK law (`channels._xor_mix`) read at input f XOR m and
+    output w XOR m, m the public mask.
     """
     qa = _pair_joint_table(*leaf.round_params(rounds, config.alpha, 0), config)
     p1 = _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k // 2),
                           config.alpha, config.eta)
-    idx = np.arange(rounds)
-    vm = np.zeros((rounds, 2, 2))
-    for f in (0, 1):
-        for u in (0, 1):
-            py1 = p1[idx, f ^ masks ^ u]
-            for v in (0, 1):
-                weight = qa[:, u, v]
-                vm[idx, f, 1 ^ masks ^ v] += weight * py1
-                vm[idx, f, masks ^ v] += weight * (1.0 - py1)
-    return vm
+    eff = _xor_mix(qa, np.stack([1.0 - p1, p1], axis=-1))
+    m = masks[:, None, None]
+    bit = np.arange(2)
+    return eff[np.arange(rounds)[:, None, None], bit[:, None] ^ m, bit ^ m]
 
 
 # The decoders' tables depend only on the config (whose jammer lists the
@@ -567,18 +572,16 @@ def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx
     Returns the codebook packed as uint8 of shape (n_messages, ceil(length / 8)):
     bit i of a codeword is bit i % 8 (least significant first) of its byte
     i // 8, and the padding bits of the last byte are zero. The bytes are the
-    little-endian bytes of `Philox.random_raw` on the key below, row after
-    row, each row starting on a byte boundary; so one stream bit serves each
-    codeword bit, and a row needs ceil(length / 8) stream bytes.
+    little-endian bytes of `Philox.random_raw`, row after row, each row
+    starting on a byte boundary; so one stream bit serves each codeword bit,
+    and a row needs ceil(length / 8) stream bytes. The `_philox` key has the
+    codebook tag, and as hi the master seed mixed with seed value and block.
     """
-    seed_int = 0
-    for b in np.asarray(seed_bits, dtype=np.int64):
-        seed_int = (seed_int << 1) | int(b)
-    lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | _TAG_CODEBOOK
-    hi = (master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)) & _MASK64
+    seed_int = _bits_to_int(seed_bits)
+    hi = master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)
     row_bytes = (length + 7) // 8
     n_bytes = n_messages * row_bytes
-    raw = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw((n_bytes + 7) // 8)
+    raw = _philox(hi, strategy_idx, trial, _TAG_CODEBOOK).random_raw((n_bytes + 7) // 8)
     packed = raw.astype("<u8", copy=False).view(np.uint8)[:n_bytes].reshape(n_messages, row_bytes)
     if length % 8:
         packed[:, -1] &= (1 << (length % 8)) - 1
@@ -683,10 +686,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     pos_rounds = 0
     pos_bits = 0
     for block, (length, bits) in enumerate(plan):
-        chunk = message_bits[pos_bits : pos_bits + bits]
-        m = 0
-        for b in chunk:
-            m = (m << 1) | int(b)
+        m = _bits_to_int(message_bits[pos_bits : pos_bits + bits])
         cb_send = random_codebook(1 << bits, length, config.master_seed, strategy_idx,
                                   trial, sender_seed, block)
         x = np.unpackbits(cb_send[m], count=length, bitorder="little").astype(np.int64)
@@ -700,9 +700,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
             1 << bits, length, config.master_seed, strategy_idx, trial, receiver_seed, block)
         m_hat = schedule_set_decoder(cb_recv, y,
                                      p1[:, pos_rounds : pos_rounds + length, :])
-        for j in range(bits - 1, -1, -1):
-            decoded[pos_bits + j] = m_hat & 1
-            m_hat >>= 1
+        decoded[pos_bits : pos_bits + bits] = [(m_hat >> j) & 1 for j in range(bits - 1, -1, -1)]
         pos_rounds += length
         pos_bits += bits
     return decoded

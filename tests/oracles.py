@@ -10,8 +10,11 @@ rational simplex is the one the integer-preserving simplex replaced, the
 adaptive quadrature and the h = 0 kernel are the bivariate CDFs that the
 general-(h, k) kernel replaced, and the scalar sweep, the per-key grid
 deduplication and the per-row CSV writer at the end are the per-state
-routes that the package's array sweep replaced; each is kept as the
-reference for its replacement.
+routes that the package's array sweep replaced. The Python-float binarized
+correlation and mutual information are the scalar bodies that became one-row
+calls of the array forms, and the per-(f, u, v) vote-model loop is the one
+that the XOR-mixing kernel replaced. Each is kept as the reference for its
+replacement.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from avcsim.bivariate import (
     RHO_LIMIT,
     BinaryJointDist,
     BivariateGaussian,
-    binarized_correlation,
     bivariate_normal_pdf,
     correlation_coefficient,
     homodyne_xx,
-    mutual_information_bits,
     std_normal_cdf,
     std_normal_cdf_array,
 )
@@ -57,7 +58,14 @@ from avcsim.geometry import (
     _swept_blocks,
     barycentric,
 )
-from avcsim.protocol import _MASK64, _TAG_CODEBOOK
+from avcsim.protocol import (
+    _MASK64,
+    _TAG_CODEBOOK,
+    JammerStrategy,
+    SimConfig,
+    _bpsk_flip_table,
+    _pair_joint_table,
+)
 
 _SQRT_PI = 1.7724538509055160273
 
@@ -203,6 +211,27 @@ def random_codebook_reference(n_messages: int, length: int, master_seed: int,
             row.append((byte >> (i % 8)) & 1)
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(n_messages, length)
+
+
+def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
+                         config: SimConfig) -> np.ndarray:
+    """`protocol._vote_model` by its per-(f, u, v) loop, the form it had before it
+    read the XOR-effective channel: vote = y XOR mask XOR v for a sender input
+    f XOR mask XOR u. Each cell gets its four terms in (u, v) order from 0.0.
+    """
+    qa = _pair_joint_table(*leaf.round_params(rounds, config.alpha, 0), config)
+    p1 = _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k // 2),
+                          config.alpha, config.eta)
+    idx = np.arange(rounds)
+    vm = np.zeros((rounds, 2, 2))
+    for f in (0, 1):
+        for u in (0, 1):
+            py1 = p1[idx, f ^ masks ^ u]
+            for v in (0, 1):
+                weight = qa[:, u, v]
+                vm[idx, f, 1 ^ masks ^ v] += weight * py1
+                vm[idx, f, masks ^ v] += weight * (1.0 - py1)
+    return vm
 
 
 def _round_logliks(y: np.ndarray, p1: np.ndarray) -> list:
@@ -617,10 +646,37 @@ def grid_arrays_reference(budget: EnergyBudget,
     return big_a, big_b, disp
 
 
+def binarized_correlation_reference(q: BinaryJointDist) -> float:
+    """Pearson correlation of the two bits, in Python floats."""
+    pu, pv = q.marginal_first, q.marginal_second
+    var_u, var_v = pu * (1.0 - pu), pv * (1.0 - pv)
+    if var_u <= 0.0 or var_v <= 0.0:
+        raise ValueError("binarized correlation undefined for a deterministic bit")
+    return float((q.q11 - pu * pv) / math.sqrt(var_u * var_v))
+
+
+def mutual_information_bits_reference(q: BinaryJointDist) -> float:
+    """Mutual information of the bit pair in bits, in Python floats, cells in the
+    order 00, 01, 10, 11; zero-probability cells are skipped."""
+    pu, pv = q.marginal_first, q.marginal_second
+    marg = {
+        (0, 0): (1.0 - pu) * (1.0 - pv),
+        (0, 1): (1.0 - pu) * pv,
+        (1, 0): pu * (1.0 - pv),
+        (1, 1): pu * pv,
+    }
+    cells = {(0, 0): q.q00, (0, 1): q.q01, (1, 0): q.q10, (1, 1): q.q11}
+    total = 0.0
+    for uv, p in cells.items():
+        if p > 0.0:
+            total += p * math.log2(p / marg[uv])
+    return total
+
+
 def sweep_csv_reference(budget: EnergyBudget, r: float, eta: float, resolution: int,
                         fh: TextIO) -> int:
     """The sweep CSV built one row at a time: a BinaryJointDist, SimplexCoords, the
-    scalar binarized_correlation and mutual_information_bits, and csv.writer.
+    scalar correlation and mutual information above, and csv.writer.
 
     Returns the number of rows written.
     """
@@ -639,6 +695,7 @@ def sweep_csv_reference(budget: EnergyBudget, r: float, eta: float, resolution: 
             repr(x), repr(z),
             repr(law.q00), repr(law.q01), repr(law.q10), repr(law.q11),
             repr(point.lambda_c), repr(point.lambda_0), repr(point.lambda_1),
-            repr(corr), repr(binarized_correlation(law)), repr(mutual_information_bits(law)),
+            repr(corr), repr(binarized_correlation_reference(law)),
+            repr(mutual_information_bits_reference(law)),
         ])
     return big_a.size

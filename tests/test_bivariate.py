@@ -26,11 +26,13 @@ from avcsim.bivariate import (
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 
 from oracles import (
+    binarized_correlation_reference,
     CDF_ATOL,
     bivariate_normal_cdf_adaptive,
     bivariate_normal_cdf_mp,
     mc_quadrants,
     mi_bits_from_joint,
+    mutual_information_bits_reference,
     orthant_at_origin_reference,
     quadrant_distribution_adaptive,
     std_cdf_oracle,
@@ -341,6 +343,49 @@ def test_quadrant_kernel_far_tails_near_unit_correlation():
             q = quadrant_laws([b, -b], [rho, rho])
             assert q[0].tolist() == [[0.0, 0.5], [0.0, 0.5]], (b, rho)
             assert q[1].tolist() == [[0.5, 0.0], [0.5, 0.0]], (b, rho)
+
+
+def test_quadrant_kernel_far_tails_away_from_unit_correlation():
+    # the asin-form integrand squared b before any clipping, so h^2 + k^2
+    # overflowed from |b| of about 1.3e154; the law is the same as near
+    # |rho| = 1
+    with np.errstate(over="raise", invalid="raise"):
+        for b in (1e155, 1e300, np.finfo(float).max):
+            for rho in (0.0, 0.5, -0.5, 0.92, -0.92):
+                q = quadrant_laws([b, -b], [rho, rho])
+                assert q[0].tolist() == [[0.0, 0.5], [0.0, 0.5]], (b, rho)
+                assert q[1].tolist() == [[0.5, 0.0], [0.5, 0.0]], (b, rho)
+
+
+def test_scalar_correlation_and_information_match_python_float_references():
+    # the scalar forms are one-row calls of the array forms; the references
+    # are the scalar bodies they replaced
+    rng = np.random.default_rng(36)
+    rows = np.concatenate([
+        rng.dirichlet(np.ones(4), 500).reshape(-1, 2, 2),
+        quadrant_laws(rng.normal(0.0, 3.0, 500), rng.uniform(-RHO_LIMIT, RHO_LIMIT, 500)),
+        [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.5, 0.0]], [[0.25, 0.25], [0.25, 0.25]]],
+    ])
+    undefined = 0
+    for row in rows.tolist():
+        q = BinaryJointDist(*row[0], *row[1])
+        try:
+            expected = mutual_information_bits_reference(q)
+        except ZeroDivisionError:
+            # a positive cell whose marginal product rounds to 0
+            undefined += 1
+            with pytest.raises(ValueError, match="marginal product 0"):
+                mutual_information_bits(q)
+        else:
+            assert mutual_information_bits(q) == expected
+        try:
+            expected = binarized_correlation_reference(q)
+        except ValueError:
+            with pytest.raises(ValueError, match="deterministic bit"):
+                binarized_correlation(q)
+        else:
+            assert binarized_correlation(q) == expected
+    assert 0 < undefined < 50
 
 
 def test_binarized_correlation_limits():

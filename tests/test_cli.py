@@ -192,6 +192,25 @@ def test_simulate_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monk
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_simulate_unwritable_artifact_exits_2(tmp_path, capsys):
+    out = tmp_path / "o1"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["simulate", str(_sim_config_file(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out / 'report.json'}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_sweep_unwritable_manifest_exits_2(tmp_path, capsys):
+    out = tmp_path / "o2"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["sweep", "--alpha", "1.0", "--resolution", "8",
+                 "--out", str(out / "sweep.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out / 'manifest.json'}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "avcsim.cli", "params", "--alpha", "2"],
                           capture_output=True, text=True)

@@ -211,7 +211,9 @@ def test_bad_squeezing_and_transmissivity_rejected_before_work(monkeypatch):
             compute_delta_star(budget, r, eta)
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+# 1e-8 and 1e-9 are budgets at which the dedup drops points at even
+# resolutions (at 1e-9, g = 2 alpha^2 + 1 rounds to 1.0)
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 1e-8, 1e-9])
 def test_grid_arrays_match_scalar_grid(alpha):
     budget = EnergyBudget(alpha * alpha)
     for resolution in (2, 3, 16, 64, 200):
@@ -223,7 +225,7 @@ def test_grid_arrays_match_scalar_grid(alpha):
         assert jammer_grid(budget, resolution) == expected
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7, 1e-8, 1e-9])
 def test_grid_dedup_matches_python_round_keys(alpha):
     budget = EnergyBudget(alpha * alpha)
     for resolution in (2, 3, 16, 32, 64, 128, 256, 512):

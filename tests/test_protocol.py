@@ -46,6 +46,7 @@ from oracles import (
     repetition_majority_error,
     schedule_set_decoder_reference,
     schedule_set_exact_scores,
+    vote_model_reference,
 )
 
 
@@ -231,6 +232,50 @@ def _sim_configs(draw):
 @given(_sim_configs())
 def test_sim_config_json_round_trip_property(cfg):
     assert SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+
+_MODERATE = st.floats(0.05, 3.0)
+_SMALL_LEAVES = st.one_of(
+    st.builds(JammerStrategy.from_symbols,
+              st.lists(st.integers(0, 2), min_size=1, max_size=4), st.text(max_size=4)),
+    st.builds(JammerStrategy.from_states,
+              st.lists(st.builds(JammerGaussian, A=st.floats(0.5, 4.0), B=st.floats(0.5, 4.0),
+                                 a=st.floats(-3.0, 3.0)), min_size=1, max_size=3),
+              st.text(max_size=4)),
+)
+
+
+@st.composite
+def _small_sim_configs(draw):
+    """Small runs over every mode, source and jammer kind, at moderate
+    amplitudes, squeezings and jammer moments."""
+    n = draw(st.integers(1, 64))
+    # modes most involved first, and thermal first: Hypothesis draws early
+    # elements most often, and with these orders the ten examples meet every
+    # mode and source pair but (correlation-assisted, tmsv), which
+    # test_simulate_report_shape_and_worker_determinism runs
+    modes = CODE_MODES[::-1] if n > 8 else ("common-randomness", "deterministic")
+    mode = draw(st.sampled_from(modes))
+    # correlation-assisted mode needs an even k < n with k/2 >= 2 (cr_seed_bits + 1)
+    k = 4 * draw(st.integers(2, (n - 1) // 4)) if mode == "correlation-assisted" else 0
+    return SimConfig(
+        alpha=draw(_MODERATE), n=n, k=k, rate=draw(st.floats(0.01, 1.0)),
+        jammer=draw(st.one_of(st.builds(
+            JammerStrategy.worst_of, st.lists(_SMALL_LEAVES, min_size=1, max_size=3,
+                                              unique_by=lambda leaf: leaf.label)),
+            _SMALL_LEAVES)),
+        code_mode=mode, source=draw(st.sampled_from(SOURCES[::-1])),
+        master_seed=draw(st.integers(0, 2**64 - 1)), trials=draw(st.integers(2, 3)),
+        eta=draw(st.floats(0.05, 1.0)), r=draw(st.none() | _MODERATE),
+        cr_seed_bits=draw(st.integers(1, max(1, k // 4 - 1))),
+        max_block_bits=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_small_sim_configs())
+def test_simulate_report_does_not_depend_on_the_worker_count(cfg):
+    # two or more trials, so two workers open a pool of two processes
+    assert simulate(cfg, 1).to_json_dict() == simulate(cfg, 2).to_json_dict()
 
 
 def test_nested_worst_of_is_a_value_error_at_any_depth():
@@ -741,3 +786,24 @@ def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
         for x in (0, 1):
             mean = math.sqrt(2.0 * eta) * alpha * (1.0 - 2.0 * x) + math.sqrt(1.0 - eta) * disp[i]
             assert table[i, x] == std_normal_cdf(-mean / sd)
+
+
+def test_vote_model_matches_the_per_round_loop():
+    # _vote_model reads the XOR-effective channel at the masked indices; the
+    # reference adds each cell's four (u, v) terms from 0.0 in a loop
+    leaves = [
+        *canonical_schedules().leaves(),
+        JammerStrategy.from_symbols((2, 0, 1, 1, 2)),
+        JammerStrategy.from_states([JammerGaussian(A=0.7, B=0.5, a=0.3),
+                                    JammerGaussian(A=1.5, B=0.3, a=-1.0)]),
+    ]
+    for source in SOURCES:
+        for leaf in leaves:
+            cfg = SimConfig(alpha=1.1, n=200, k=60, rate=0.2, jammer=leaf, source=source,
+                            cr_seed_bits=3)
+            for rounds, n_slots in ((30, 4), (13, 1), (7, 3)):
+                masks = (np.arange(rounds) // n_slots) % 2
+                got = protocol._vote_model(leaf, rounds, masks, cfg)
+                expected = vote_model_reference(leaf, rounds, masks, cfg)
+                assert got.shape == (rounds, 2, 2)
+                assert got.tobytes() == expected.tobytes(), (source, leaf.label, rounds)
