@@ -76,12 +76,16 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+def _math_map(fn, x) -> np.ndarray:
+    """fn, a `math` function, on each element of x: the same bits as the
+    scalar route, which numpy's own ufuncs need not give (or lack, as erfc)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
 def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """std_normal_cdf elementwise, bit for bit (numpy has no erfc)."""
-    return 0.5 * _erfc(-x / math.sqrt(2.0))
+    """std_normal_cdf elementwise, bit for bit."""
+    return 0.5 * _math_map(math.erfc, -x / math.sqrt(2.0))
 
 
 def bivariate_normal_pdf(x: float, y: float, rho: float) -> float:
@@ -342,9 +346,7 @@ def mutual_information_bits_array(q: np.ndarray) -> np.ndarray:
     if np.any(live & (marg == 0.0)):
         raise ValueError("mutual information undefined: a positive cell has marginal product 0")
     ratio = np.divide(cells, marg, out=np.ones_like(cells), where=live)
-    logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), dtype=float,
-                       count=ratio.size).reshape(ratio.shape)
-    terms = np.where(live, cells * logs, 0.0)
+    terms = np.where(live, cells * _math_map(math.log2, ratio), 0.0)
     # skipped cells add +0.0, which leaves the running sum unchanged: it starts
     # at +0.0 and so is never -0.0
     total = np.zeros(len(cells))

@@ -305,5 +305,17 @@ def receiver_port_moments(big_a, disp, r: float,
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
     mean_b = math.sqrt(1.0 - eta) * np.asarray(disp, dtype=float)
     var_b = (1.0 - eta) * np.asarray(big_a, dtype=float) + eta * c / 2.0
-    rho = math.sqrt(eta) * s / (2.0 * np.sqrt(c / 2.0 * var_b))
+    with np.errstate(over="ignore"):
+        spread = np.sqrt(c / 2.0 * var_b)
+    # where the product of the variances overflows, their roots are taken apart
+    spread = np.where(np.isinf(spread), math.sqrt(c / 2.0) * np.sqrt(var_b), spread)
+    rho = math.sqrt(eta) * s / (2.0 * spread)
     return mean_b, var_b, rho
+
+
+def _check_squeezing(r: float) -> None:
+    """Refuse a squeezing whose cosh(2r) overflows a double (r above about 355)."""
+    try:
+        math.cosh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"squeezing r = {r!r} is too large: cosh(2r) overflows") from None

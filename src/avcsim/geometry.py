@@ -35,6 +35,7 @@ from .gaussian import (
     PHYSICALITY_ATOL,
     SYMMETRY_ATOL,
     JammerGaussian,
+    _check_squeezing,
     mix_tmsv_with_jammer,  # noqa: F401  perfbench traces this module attribute
     receiver_port_moments,
 )
@@ -163,6 +164,9 @@ def _grid_candidates(budget: EnergyBudget,
     g = 2.0 * e + 1.0
     disc = math.sqrt(max(g * g - 1.0, 0.0))
     a_lo, a_hi = 0.5 * (g - disc), 0.5 * (g + disc)
+    if not a_lo > 0.0:
+        raise ValueError(f"jammer budget alpha^2 = {e!r} is too large: the grid's "
+                         "least jammer variance rounds to 0")
     steps = np.arange(resolution)
     big_a = a_lo + (a_hi - a_lo) * steps / (resolution - 1)
     a_max = np.sqrt(np.maximum(g - big_a - 0.25 / big_a, 0.0))[:, None]
@@ -267,6 +271,7 @@ class SweepColumns:
 def _check_source(r: float, eta: float) -> None:
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"squeezing must be finite and nonnegative, got {r}")
+    _check_squeezing(r)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
 

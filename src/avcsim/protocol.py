@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bivariate import (
+    RHO_LIMIT,
     BinaryJointDist,
     quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
     quadrant_laws,
@@ -33,8 +34,8 @@ from .bivariate import (
     std_normal_cdf_array,
 )
 from .channels import ChannelTable, _xor_mix, binary_entropy
-from .gaussian import (JammerGaussian, _json_fields, _json_object, _require_finite,
-                       receiver_port_moments)
+from .gaussian import (JammerGaussian, _check_squeezing, _json_fields, _json_object,
+                       _require_finite, receiver_port_moments)
 
 _MASK64 = (1 << 64) - 1
 
@@ -148,6 +149,14 @@ class JammerStrategy:
     def leaves(self) -> tuple["JammerStrategy", ...]:
         return self.options if self.kind == "worst_of" else (self,)
 
+    def _plays(self, alpha: float) -> tuple[JammerGaussian, ...]:
+        """One period of a leaf's schedule, as jammer states."""
+        if self.kind == "worst_of":
+            raise ValueError("a schedule is defined on leaf strategies only")
+        if self.kind == "symbols":
+            return tuple(jammer_state_for_symbol(s, alpha) for s in self.symbols)
+        return self.states
+
     def round_params(self, n_rounds: int, alpha: float,
                      offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(A_i, a_i) of the jammer state for global rounds [offset, offset + n_rounds).
@@ -155,12 +164,7 @@ class JammerStrategy:
         The schedule is one sequence over the whole block; phases read their
         own slice of it, so a cyclic schedule keeps its global phase.
         """
-        if self.kind == "worst_of":
-            raise ValueError("round_params is defined on leaf strategies only")
-        if self.kind == "symbols":
-            plays = [jammer_state_for_symbol(s, alpha) for s in self.symbols]
-        else:
-            plays = list(self.states)
+        plays = self._plays(alpha)
         idx = (offset + np.arange(n_rounds)) % len(plays)
         big_a = np.array([p.A for p in plays])[idx]
         disp = np.array([p.a for p in plays])[idx]
@@ -197,16 +201,24 @@ def canonical_schedules() -> JammerStrategy:
     )
 
 
+def _frame_capacity(k: int) -> int:
+    """Most seed bits k/2 transfer rounds carry: k/2 >= 2 (cr_seed_bits + 1)."""
+    return (k // 2) // 2 - 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters for `simulate`.
+    """Run parameters for `simulate`; they fix the run's shape.
 
     k side rounds split evenly between the correlation and seed phases; the
     remaining n - k rounds carry data at the given rate. `cr_seed_bits` fixes
-    how many shared seed bits phase 2 transfers (plus one parity slot).
-    Real fields must be finite and integer fields plain integers (not bool,
-    not 2.0), so a config that constructs can be simulated and is a sound
-    key for the per-run decoder tables.
+    how many shared seed bits phase 2 transfers (plus one parity slot), and
+    k/2 transfer rounds must carry that frame in both mask phases. Real
+    fields must be finite and integer fields plain integers (not bool, not
+    2.0); the squeezing's cosh(2r) must be finite, and with the entangled
+    source no jammer state may correlate the sign-bit quadratures past
+    `RHO_LIMIT`. So a config that constructs can be simulated and is a
+    sound key for the per-run decoder tables.
     """
 
     alpha: float
@@ -248,8 +260,6 @@ class SimConfig:
             raise ValueError(f"code_mode must be one of {CODE_MODES}")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}")
-        if self.code_mode == "correlation-assisted" and self.k < 2:
-            raise ValueError("correlation-assisted mode needs k >= 2 side rounds")
         if self.code_mode != "correlation-assisted" and self.k != 0:
             raise ValueError("only correlation-assisted mode uses side rounds (k > 0)")
         if not 0 <= self.master_seed <= _MASK64:
@@ -262,8 +272,21 @@ class SimConfig:
             raise ValueError("squeezing r must be positive when given")
         if self.cr_seed_bits < 1:
             raise ValueError("cr_seed_bits must be at least 1")
+        if self.code_mode == "correlation-assisted" and self.cr_seed_bits > _frame_capacity(self.k):
+            raise ValueError(f"k/2 = {self.k // 2} transfer rounds cannot carry {self.cr_seed_bits} "
+                             "seed bits and a parity slot in both mask phases")
         if not 1 <= self.max_block_bits <= 16:
             raise ValueError("max_block_bits must lie in [1, 16]")
+        _check_squeezing(self.squeezing)
+        # building the states checks the symbol states at this alpha
+        states = [s for leaf in self.jammer.leaves() for s in leaf._plays(self.alpha)]
+        if self.source == "tmsv":
+            _, _, rho = receiver_port_moments([s.A for s in states], [s.a for s in states],
+                                              self.squeezing, self.eta)
+            if not np.all(np.abs(rho) <= RHO_LIMIT):
+                raise ValueError(f"a jammer state correlates the sign bits' quadratures at "
+                                 f"|rho| = {np.max(np.abs(rho))!r}, above {RHO_LIMIT}: "
+                                 "lower r, alpha or eta")
 
     @property
     def squeezing(self) -> float:
@@ -274,14 +297,13 @@ class SimConfig:
                  **kw) -> "SimConfig":
         """Side-phase length defaulting to the 2 log2 n scaling, rounded even.
 
-        The seed width is clamped to what k/2 transfer rounds can carry
-        (each of the cr_seed_bits + 1 frame slots needs both mask phases).
+        The seed width is clamped to what k/2 transfer rounds can carry.
         """
         k = kw.pop("k", None)
         if k is None:
             k = 2 * math.ceil(math.log2(n)) if n > 1 else 0
         if "cr_seed_bits" not in kw:
-            kw["cr_seed_bits"] = min(8, max(1, (k // 2) // 2 - 1))
+            kw["cr_seed_bits"] = min(8, max(1, _frame_capacity(k)))
         return cls(alpha=alpha, n=n, k=k, rate=rate, jammer=jammer, **kw)
 
     def to_json_dict(self) -> dict:
@@ -405,6 +427,35 @@ def _pair_outputs(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
     return (z1 >= 0.0).astype(np.int64), (quad_b >= 0.0).astype(np.int64)
 
 
+# --- the run's shape: the config alone fixes it ------------------------------
+
+
+def _phase_params(leaf: JammerStrategy, config: SimConfig,
+                  phase: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A_i, a_i) of the leaf's jammer state over phase 1 (the k/2 sign-pair
+    rounds), 2 (the k/2 transfer rounds) or 3 (the n - k data rounds)."""
+    bounds = (0, config.k // 2, config.k, config.n)
+    return leaf.round_params(bounds[phase] - bounds[phase - 1], config.alpha, bounds[phase - 1])
+
+
+def _frame_layout(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Slot and public mask of each transfer round: the frame is the seed
+    bits and a parity slot, and the mask flips after each pass of it."""
+    passes, slots = np.divmod(np.arange(config.k // 2), config.cr_seed_bits + 1)
+    return slots, passes % 2
+
+
+@functools.lru_cache(maxsize=4)
+def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
+    """(rounds, message bits) per data sub-block, message bits capped at max_block_bits."""
+    rounds = config.n - config.k
+    # min() first: a subnormal rate makes the quotient inf
+    cap = int(min(config.max_block_bits / config.rate, rounds))
+    full, rest = divmod(rounds, cap)
+    lengths = [cap] * full + ([rest] if rest else [])
+    return tuple((length, math.ceil(config.rate * length)) for length in lengths)
+
+
 # --- receiver-side channel models --------------------------------------------
 #
 # The decoder knows the protocol and the candidate schedule set (the leaves of
@@ -442,8 +493,7 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
     return table[inverse.reshape(-1)]
 
 
-def _vote_model(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
-                config: SimConfig) -> np.ndarray:
+def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
     """vm[i, f, w] = P(vote_i = w | frame bit f) under one candidate schedule.
 
     Round i of the transfer phase is global round k/2 + i and consumes the
@@ -452,34 +502,31 @@ def _vote_model(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
     pair law and BPSK law (`channels._xor_mix`) read at input f XOR m and
     output w XOR m, m the public mask.
     """
-    qa = _pair_joint_table(*leaf.round_params(rounds, config.alpha, 0), config)
-    p1 = _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k // 2),
-                          config.alpha, config.eta)
+    qa = _pair_joint_table(*_phase_params(leaf, config, 1), config)
+    p1 = _bpsk_flip_table(*_phase_params(leaf, config, 2), config.alpha, config.eta)
     eff = _xor_mix(qa, np.stack([1.0 - p1, p1], axis=-1))
-    m = masks[:, None, None]
+    m = _frame_layout(config)[1][:, None, None]
     bit = np.arange(2)
-    return eff[np.arange(rounds)[:, None, None], bit[:, None] ^ m, bit ^ m]
+    return eff[np.arange(m.shape[0])[:, None, None], bit[:, None] ^ m, bit ^ m]
 
 
 # The decoders' tables depend only on the config (whose jammer lists the
-# candidate leaves) and the phase length, so each is built once per run rather
-# than once per trial; a run needs one entry of each cache.
+# candidate leaves), so each is built once per run rather than once per
+# trial; a run needs one entry of each cache.
 @functools.lru_cache(maxsize=4)
-def _vote_logliks(config: SimConfig, rounds: int, n_slots: int) -> np.ndarray:
+def _vote_logliks(config: SimConfig) -> np.ndarray:
     """ll[h, i, f, w] = log P(vote_i = w | frame bit f) under leaf h; read-only."""
-    masks = (np.arange(rounds) // n_slots) % 2
-    vm = np.stack([_vote_model(leaf, rounds, masks, config) for leaf in config.jammer.leaves()])
+    vm = np.stack([_vote_model(leaf, config) for leaf in config.jammer.leaves()])
     ll = np.log(np.clip(vm, 1e-300, None))
     ll.flags.writeable = False
     return ll
 
 
 @functools.lru_cache(maxsize=4)
-def _data_flip_tables(config: SimConfig, rounds: int) -> np.ndarray:
+def _data_flip_tables(config: SimConfig) -> np.ndarray:
     """p1[h, i, x] of the data phase under leaf h; read-only."""
     p1 = np.stack([
-        _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k),
-                         config.alpha, config.eta)
+        _bpsk_flip_table(*_phase_params(leaf, config, 3), config.alpha, config.eta)
         for leaf in config.jammer.leaves()
     ])
     p1.flags.writeable = False
@@ -489,18 +536,16 @@ def _data_flip_tables(config: SimConfig, rounds: int) -> np.ndarray:
 # --- protocol phases --------------------------------------------------------
 
 
-def run_correlation_phase(rounds: int, strategy: JammerStrategy, config: SimConfig,
+def run_correlation_phase(strategy: JammerStrategy, config: SimConfig,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-bit pairs (u, v) from `rounds` uses of the entangled symbol."""
-    if rounds == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    big_a, disp = strategy.round_params(rounds, config.alpha)
+    """Sign-bit pairs (u, v) from the k/2 uses of the entangled symbol."""
+    big_a, disp = _phase_params(strategy, config, 1)
     return _pair_outputs(big_a, disp, config.squeezing, config.eta, rng, config.source)
 
 
-def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
-                 strategy: JammerStrategy, config: SimConfig,
-                 seed_bits: np.ndarray, rng: np.random.Generator) -> dict:
+def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrategy,
+                 config: SimConfig, seed_bits: np.ndarray,
+                 rng: np.random.Generator) -> dict:
     """Transfer `seed_bits` by repetition over the XOR-corrected channel.
 
     Each round carries one frame slot (seed bits plus a final parity slot).
@@ -512,26 +557,17 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
     resolve to 0. Agreement is checked via the parity slot and reported, not
     enforced.
     """
-    if rounds == 0:
-        raise ValueError("seed transfer needs at least one round")
-    if len(u_bits) < rounds or len(v_bits) < rounds:
-        raise ValueError("not enough correlated bits for the requested rounds")
-    n_slots = len(seed_bits) + 1
-    if rounds < 2 * n_slots:
-        raise ValueError(
-            f"{rounds} rounds cannot carry {len(seed_bits)} seed bits with both mask phases"
-        )
+    slots, masks = _frame_layout(config)
     frame = np.concatenate([seed_bits, [seed_bits.sum() % 2]])
-    slots = np.arange(rounds) % n_slots
-    masks = (np.arange(rounds) // n_slots) % 2
-    x = frame[slots] ^ masks ^ u_bits[:rounds]
-    big_a, disp = strategy.round_params(rounds, config.alpha, config.k // 2)
+    n_slots = len(frame)
+    x = frame[slots] ^ masks ^ u_bits
+    big_a, disp = _phase_params(strategy, config, 2)
     y = _bpsk_outputs(x, big_a, disp, config.alpha, config.eta, rng)
-    votes = y ^ masks ^ v_bits[:rounds]
-    idx = np.arange(rounds)
+    votes = y ^ masks ^ v_bits
+    idx = np.arange(len(votes))
     best_total = -np.inf
     decoded = np.zeros(n_slots, dtype=np.int64)
-    for ll in _vote_logliks(config, rounds, n_slots):
+    for ll in _vote_logliks(config):
         sums0 = np.bincount(slots, weights=ll[idx, 0, votes], minlength=n_slots)
         sums1 = np.bincount(slots, weights=ll[idx, 1, votes], minlength=n_slots)
         total = float(np.maximum(sums0, sums1).sum())
@@ -548,21 +584,6 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, rounds: int,
         "t_hat": t_hat,
         "agree": bool(np.array_equal(received, seed_bits)),
     }
-
-
-def _block_plan(rounds: int, rate: float, max_block_bits: int) -> list[tuple[int, int]]:
-    """(rounds, message bits) per sub-block, message bits capped at max_block_bits."""
-    # min() first: a subnormal rate makes the quotient inf
-    cap_rounds = int(min(max_block_bits / rate, rounds))
-    plan = []
-    done = 0
-    while done < rounds:
-        length = min(cap_rounds, rounds - done)
-        bits = math.ceil(rate * length)
-        if bits > 0:
-            plan.append((length, bits))
-        done += length
-    return plan
 
 
 def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx: int,
@@ -662,7 +683,7 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
 
 
 def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
-                   receiver_seed: np.ndarray, rounds: int, strategy: JammerStrategy,
+                   receiver_seed: np.ndarray, strategy: JammerStrategy,
                    config: SimConfig, strategy_idx: int, trial: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Send message_bits raw (no XOR layer) in seed-keyed random sub-blocks.
@@ -675,11 +696,11 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     schedule set, which the receiver knows from the config; the realised
     schedule stays hidden.
     """
-    plan = _block_plan(rounds, config.rate, config.max_block_bits)
+    plan = _block_plan(config)
     if sum(b for _, b in plan) != len(message_bits):
         raise ValueError("message length does not match the block plan")
-    big_a, disp = strategy.round_params(rounds, config.alpha, config.k)
-    p1 = _data_flip_tables(config, rounds)
+    big_a, disp = _phase_params(strategy, config, 3)
+    p1 = _data_flip_tables(config)
     # the codebook key depends only on the seed value, so equal copies share one draw
     shared = np.array_equal(sender_seed, receiver_seed)
     decoded = np.zeros_like(message_bits)
@@ -770,21 +791,15 @@ def symmetrizing_attack_error(codebook: np.ndarray, decoder: np.ndarray,
 # --- orchestration -----------------------------------------------------------
 
 
-def _message_bit_count(config: SimConfig) -> int:
-    return sum(b for _, b in _block_plan(config.n - config.k,
-                                         config.rate, config.max_block_bits))
-
-
 def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
                trial: int) -> dict:
-    half = config.k // 2
     seed = config.master_seed
     if config.code_mode == "correlation-assisted":
         u_bits, v_bits = run_correlation_phase(
-            half, strategy, config, _rng(seed, strategy_idx, trial, _TAG_PHASE1))
+            strategy, config, _rng(seed, strategy_idx, trial, _TAG_PHASE1))
         sender_seed = _rng(seed, strategy_idx, trial, _TAG_SEED).integers(
             0, 2, size=config.cr_seed_bits, dtype=np.int64)
-        cr = run_cr_phase(u_bits, v_bits, half, strategy, config, sender_seed,
+        cr = run_cr_phase(u_bits, v_bits, strategy, config, sender_seed,
                           _rng(seed, strategy_idx, trial, _TAG_PHASE2))
     else:
         # no side phase: both ends hold a free seed, of no width in
@@ -794,10 +809,9 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
             0, 2, size=width, dtype=np.int64)
         cr = {"received": sender_seed, "agree": True, "parity_ok": True, "t_hat": 0.0}
     message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
-        0, 2, size=_message_bit_count(config), dtype=np.int64)
-    decoded = run_data_phase(message, sender_seed, cr["received"],
-                             config.n - config.k, strategy, config, strategy_idx,
-                             trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
+        0, 2, size=sum(bits for _, bits in _block_plan(config)), dtype=np.int64)
+    decoded = run_data_phase(message, sender_seed, cr["received"], strategy, config,
+                             strategy_idx, trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
     return {
         "strategy": strategy.label,
         "trial": trial,

@@ -77,6 +77,21 @@ def test_sweep_bad_source_exits_2(argv, message, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--r", "400"], "squeezing r = 400.0 is too large: cosh(2r) overflows"),
+    (["--alpha", "1e4"], "jammer budget alpha^2 = 100000000.0 is too large"),
+    (["--alpha", "1e100"], "jammer budget alpha^2 = 1e+200 is too large"),
+])
+def test_sweep_input_beyond_double_range_exits_2(argv, message, tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "1.0", *argv, "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad sweep input: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out_csv.exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_symmetrize_verdict_exit_codes(tmp_path, capsys):
     kernel_path = tmp_path / "kernel.json"
     kernel_path.write_text(json.dumps(avc_kernel(1.0).to_json_dict()))
@@ -190,6 +205,35 @@ def test_simulate_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# config fields `SimConfig` accepted although `simulate` then failed inside the
+# run, and the start of the refusal
+UNRUNNABLE_CONFIGS = [
+    ({"k": 2}, "k/2 = 1 transfer rounds cannot carry 1 seed bits"),
+    ({"r": 20.0}, "a jammer state correlates"),
+    ({"r": 300.0}, "a jammer state correlates"),
+    ({"r": 400.0}, "squeezing r = 400.0 is too large"),
+    ({"alpha": 1e200}, "squeezing r = 461.2"),
+]
+
+
+@pytest.mark.parametrize("change,message", UNRUNNABLE_CONFIGS,
+                         ids=[json.dumps(c) for c, _ in UNRUNNABLE_CONFIGS])
+def test_simulate_refuses_unrunnable_config_before_any_trial(change, message, tmp_path,
+                                                             capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate ran on a config it cannot run")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    data = json.loads(_sim_config_file(tmp_path).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(data, **change)))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad config: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_unwritable_artifact_exits_2(tmp_path, capsys):

@@ -211,6 +211,19 @@ def test_receiver_port_moments_match_the_mixed_state(r, eta):
             assert abs(rho[i] - correlation_coefficient(biv)) <= 1e-12
 
 
+def test_receiver_port_correlation_past_the_double_range_of_its_variance_product():
+    # at r = 200, cosh(2r)/2 times the receiver variance overflows a double;
+    # rho is then the quotient with the two roots taken apart, not 0
+    r, eta = 200.0, 0.5
+    big_a = np.array([0.5, 1e300])
+    _, var_b, rho = receiver_port_moments(big_a, np.zeros(2), r, eta)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    for i in range(2):
+        assert rho[i] == math.sqrt(eta) * s / (2.0 * (math.sqrt(c / 2.0) * math.sqrt(var_b[i])))
+    assert rho[0] == pytest.approx(1.0, abs=1e-15)  # s/c with eta c/2 >> A
+    assert 0.0 < rho[1] < 1e-60
+
+
 def test_mixing_with_vacuum_jammer_keeps_state_physical_any_eta():
     vac = JammerGaussian(A=0.5, B=0.5)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):

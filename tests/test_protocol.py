@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from avcsim.bivariate import BinaryJointDist, quadrant_distribution, homodyne_xx, std_normal_cdf
@@ -136,7 +138,7 @@ def test_canonical_schedules_cover_the_four_cases():
 
 def test_sim_config_validation():
     jam = canonical_schedules()
-    good = dict(alpha=1.0, n=64, k=8, rate=0.2, jammer=jam)
+    good = dict(alpha=1.0, n=64, k=8, rate=0.2, jammer=jam, cr_seed_bits=1)
     SimConfig(**good)
     SimConfig(**dict(good, rate=1.0))
     for bad in (
@@ -163,6 +165,42 @@ def test_sim_config_validation():
             SimConfig(**bad)
     SimConfig(**dict(good, k=0, code_mode="deterministic"))
     SimConfig(**dict(good, k=0, code_mode="common-randomness"))
+
+
+# (overrides of a small config, the start of the refusal) for configs that
+# would fail inside `simulate` if they constructed
+UNRUNNABLE = [
+    ({"k": 2}, "k/2 = 1 transfer rounds cannot carry 1 seed bits"),
+    ({"k": 4}, "k/2 = 2 transfer rounds cannot carry 1 seed bits"),
+    ({"cr_seed_bits": 3}, "k/2 = 4 transfer rounds cannot carry 3 seed bits"),
+    ({"cr_seed_bits": 8, "k": 32}, "k/2 = 16 transfer rounds cannot carry 8 seed bits"),
+    ({"r": 20.0}, "a jammer state correlates"),  # rho rounds to 1
+    ({"r": 300.0}, "a jammer state correlates"),
+    ({"alpha": 1e6, "eta": 1.0}, "a jammer state correlates"),
+    ({"r": 400.0}, "squeezing r = 400.0 is too large"),
+    ({"alpha": 1e200}, "squeezing r = 461.2"),
+    ({"alpha": 1e200, "source": "thermal"}, "squeezing r = 461.2"),
+    ({"alpha": 1e200, "r": 1.0}, "jammer state A must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", UNRUNNABLE,
+                         ids=[json.dumps(o) for o, _ in UNRUNNABLE])
+def test_sim_config_refuses_a_config_that_cannot_run(overrides, message):
+    kw = dict(alpha=1.0, n=40, k=8, rate=0.3, jammer=canonical_schedules(), cr_seed_bits=1)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SimConfig(**dict(kw, **overrides))
+
+
+def test_thermal_source_runs_where_the_entangled_one_is_refused():
+    # the thermal source carries no correlation, so only cosh(2r) bounds it;
+    # past 177.6 the receiver port's variance product overflows a double
+    for r in (20.0, 200.0, 300.0):
+        cfg = SimConfig(alpha=1.0, n=40, k=8, rate=0.3, jammer=canonical_schedules(),
+                        cr_seed_bits=1, r=r, source="thermal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate(cfg).per_strategy["all-0"]["trials"] == 1
 
 
 def test_sim_config_defaults_and_squeezing():
@@ -217,15 +255,22 @@ _JAMMERS = st.one_of(
 @st.composite
 def _sim_configs(draw):
     n = draw(st.integers(1, 10**6))
-    # correlation-assisted mode needs an even 2 <= k < n
-    mode = draw(st.sampled_from(CODE_MODES if n > 2 else ("deterministic", "common-randomness")))
-    k = 2 * draw(st.integers(1, (n - 1) // 2)) if mode == "correlation-assisted" else 0
-    return SimConfig(
-        alpha=draw(_POSITIVE), n=n, k=k, rate=draw(st.floats(1e-9, 1.0)),
-        jammer=draw(_JAMMERS), code_mode=mode, source=draw(st.sampled_from(SOURCES)),
-        master_seed=draw(st.integers(0, 2**64 - 1)), trials=draw(st.integers(1, 10**6)),
-        eta=draw(st.floats(1e-9, 1.0)), r=draw(st.none() | _POSITIVE),
-        cr_seed_bits=draw(st.integers(1, 64)), max_block_bits=draw(st.integers(1, 16)))
+    # correlation-assisted mode needs an even k < n with k/2 >= 2 (cr_seed_bits + 1)
+    mode = draw(st.sampled_from(CODE_MODES if n > 8 else ("deterministic", "common-randomness")))
+    if mode == "correlation-assisted":
+        cr_seed_bits = draw(st.integers(1, min(64, (n - 1) // 4 - 1)))
+        k = 2 * draw(st.integers(2 * (cr_seed_bits + 1), (n - 1) // 2))
+    else:
+        cr_seed_bits, k = draw(st.integers(1, 64)), 0
+    try:
+        return SimConfig(
+            alpha=draw(_POSITIVE), n=n, k=k, rate=draw(st.floats(1e-9, 1.0)),
+            jammer=draw(_JAMMERS), code_mode=mode, source=draw(st.sampled_from(SOURCES)),
+            master_seed=draw(st.integers(0, 2**64 - 1)), trials=draw(st.integers(1, 10**6)),
+            eta=draw(st.floats(1e-9, 1.0)), r=draw(st.none() | _POSITIVE),
+            cr_seed_bits=cr_seed_bits, max_block_bits=draw(st.integers(1, 16)))
+    except ValueError:
+        reject()  # a squeezing the source cannot carry
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -248,7 +293,8 @@ _SMALL_LEAVES = st.one_of(
 @st.composite
 def _small_sim_configs(draw):
     """Small runs over every mode, source and jammer kind, at moderate
-    amplitudes, squeezings and jammer moments."""
+    amplitudes, squeezings and jammer moments, where runs that open a pool
+    stay cheap; `test_any_config_that_constructs_runs` draws the extremes."""
     n = draw(st.integers(1, 64))
     # modes most involved first, and thermal first: Hypothesis draws early
     # elements most often, and with these orders the ten examples meet every
@@ -276,6 +322,43 @@ def _small_sim_configs(draw):
 def test_simulate_report_does_not_depend_on_the_worker_count(cfg):
     # two or more trials, so two workers open a pool of two processes
     assert simulate(cfg, 1).to_json_dict() == simulate(cfg, 2).to_json_dict()
+
+
+# anything, and moderate values, where most configs construct
+_ANY_POSITIVE = st.floats(0.0, 1e300, exclude_min=True) | st.floats(1e-3, 10.0)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def _any_sim_kwargs(draw):
+    """SimConfig arguments with alpha and r up to 1e300, any eta and rate,
+    every mode, source and jammer kind (at `_JAMMERS`' moments), and frames
+    that fit; some of them construct no config."""
+    n = draw(st.integers(1, 64))
+    mode = draw(st.sampled_from(CODE_MODES[::-1] if n > 8 else CODE_MODES[:2]))
+    if mode == "correlation-assisted":
+        k = 4 * draw(st.integers(2, (n - 1) // 4))
+        cr_seed_bits = draw(st.integers(1, k // 4 - 1))
+    else:
+        k, cr_seed_bits = 0, draw(st.integers(1, 8))
+    return dict(alpha=draw(_ANY_POSITIVE), n=n, k=k, rate=draw(_UNIT), jammer=draw(_JAMMERS),
+                code_mode=mode, source=draw(st.sampled_from(SOURCES[::-1])),
+                master_seed=draw(st.integers(0, 2**64 - 1)), eta=draw(_UNIT),
+                r=draw(st.none() | _ANY_POSITIVE), cr_seed_bits=cr_seed_bits,
+                max_block_bits=draw(st.integers(1, 16)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_any_sim_kwargs())
+def test_any_config_that_constructs_runs(kw):
+    try:
+        cfg = SimConfig(**kw)
+    except ValueError:
+        reject()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulate(cfg)
+    assert len(report.per_trial) == len(cfg.jammer.leaves())
 
 
 def test_nested_worst_of_is_a_value_error_at_any_depth():
@@ -455,45 +538,53 @@ def test_schedule_set_decoder_breaks_an_exact_tie_to_the_lowest_index(first, sec
     assert schedule_set_decoder(_pack(codebook), y, p1) == first
 
 
+def _data_config(rounds: int, rate: float, max_block_bits: int) -> SimConfig:
+    """A config whose data phase has the given rounds, rate and block cap."""
+    return SimConfig(alpha=1.0, n=rounds + 32, k=32, rate=rate, jammer=canonical_schedules(),
+                     cr_seed_bits=3, max_block_bits=max_block_bits)
+
+
 def test_block_plan_caps_and_covers():
-    plan = _block_plan(224, 0.1, 13)
+    plan = _block_plan(_data_config(224, 0.1, 13))
     assert sum(length for length, _ in plan) == 224
     assert all(bits <= 13 for _, bits in plan)
     assert all(bits == math.ceil(0.1 * length) for length, bits in plan)
-    assert _block_plan(5, 1.0, 1) == [(1, 1)] * 5
-    assert _block_plan(64, 5e-324, 13) == [(64, 1)]  # 13 / rate overflows to inf
+    assert _block_plan(_data_config(5, 1.0, 1)) == ((1, 1),) * 5
+    # 13 / rate overflows to inf
+    assert _block_plan(_data_config(64, 5e-324, 13)) == ((64, 1),)
 
 
 def test_run_correlation_phase_counts():
-    cfg = SimConfig(alpha=1.0, n=32, k=8, rate=0.2, jammer=canonical_schedules())
-    u, v = run_correlation_phase(4, cfg.jammer.leaves()[0], cfg, np.random.default_rng(1))
+    # k/2 pairs; the shortest correlation-assisted config has k = 8
+    cfg = SimConfig(alpha=1.0, n=32, k=8, rate=0.2, jammer=canonical_schedules(),
+                    cr_seed_bits=1)
+    u, v = run_correlation_phase(cfg.jammer.leaves()[0], cfg, np.random.default_rng(1))
     assert u.shape == v.shape == (4,)
-    u0, v0 = run_correlation_phase(0, cfg.jammer.leaves()[0], cfg, np.random.default_rng(1))
-    assert len(u0) == 0 and len(v0) == 0
+    longer = dataclasses.replace(cfg, k=30)
+    u, v = run_correlation_phase(cfg.jammer.leaves()[0], longer, np.random.default_rng(1))
+    assert u.shape == v.shape == (15,)
 
 
 def test_run_cr_phase_agreement_and_errors():
     jam = canonical_schedules()
     cfg = SimConfig(alpha=1.0, n=1024, k=200, rate=0.1, jammer=jam, cr_seed_bits=2)
     leaf = jam.leaves()[0]
-    rounds = cfg.k // 2
     agree = 0
     for trial in range(20):
-        u, v = run_correlation_phase(rounds, leaf, cfg, _rng(5, 0, trial, 1))
+        u, v = run_correlation_phase(leaf, cfg, _rng(5, 0, trial, 1))
         seed_bits = _rng(5, 0, trial, 2).integers(0, 2, size=cfg.cr_seed_bits,
                                                   dtype=np.int64)
-        out = run_cr_phase(u, v, rounds, leaf, cfg, seed_bits, _rng(5, 0, trial, 3))
+        out = run_cr_phase(u, v, leaf, cfg, seed_bits, _rng(5, 0, trial, 3))
         assert out["received"].shape == (cfg.cr_seed_bits,)
         assert 0.0 <= out["t_hat"] <= 1.0
         agree += out["agree"]
     assert agree >= 18  # ~33 votes per slot at an effective crossover near 1/4
-    with pytest.raises(ValueError):
-        run_cr_phase(u, v, 0, leaf, cfg, seed_bits, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        run_cr_phase(u[:2], v[:2], rounds, leaf, cfg, seed_bits, np.random.default_rng(0))
+    # a transfer phase too short for the frame is refused with the config,
+    # before any phase runs
     with pytest.raises(ValueError, match="cannot carry"):
-        run_cr_phase(u, v, 4, leaf, cfg, np.zeros(3, dtype=np.int64),
-                     np.random.default_rng(0))
+        dataclasses.replace(cfg, k=8)
+    with pytest.raises(ValueError, match="cannot carry"):
+        dataclasses.replace(cfg, k=4, cr_seed_bits=1)
 
 
 def test_run_data_phase_round_trip_at_high_amplitude():
@@ -501,19 +592,20 @@ def test_run_data_phase_round_trip_at_high_amplitude():
     # 8e-9 on both inputs, so decoding must be exact with matched seeds
     vacuum = JammerStrategy.from_states([JammerGaussian(A=0.5, B=0.5)], "vacuum")
     jam = JammerStrategy.worst_of([vacuum])
-    cfg = SimConfig(alpha=4.0, n=44, k=4, rate=0.25, jammer=jam, master_seed=17)
-    rounds = cfg.n - cfg.k
+    # 40 data rounds after the shortest side phase that carries a 1-bit seed
+    cfg = SimConfig(alpha=4.0, n=48, k=8, rate=0.25, jammer=jam, master_seed=17,
+                    cr_seed_bits=1)
     message = _rng(17, 0, 0, 4).integers(0, 2, size=10, dtype=np.int64)
     seed = np.array([1, 0, 1], dtype=np.int64)
-    decoded = run_data_phase(message, seed, seed, rounds, jam.leaves()[0], cfg,
+    decoded = run_data_phase(message, seed, seed, jam.leaves()[0], cfg,
                              0, 0, _rng(17, 0, 0, 5))
     assert np.array_equal(decoded, message)
     # mismatched seeds give independent codebooks, not a crash
-    bad = run_data_phase(message, seed, 1 - seed, rounds, jam.leaves()[0], cfg,
+    bad = run_data_phase(message, seed, 1 - seed, jam.leaves()[0], cfg,
                          0, 0, _rng(17, 0, 0, 5))
     assert bad.shape == message.shape
     with pytest.raises(ValueError, match="block plan"):
-        run_data_phase(message[:3], seed, seed, rounds, jam.leaves()[0], cfg,
+        run_data_phase(message[:3], seed, seed, jam.leaves()[0], cfg,
                        0, 0, _rng(17, 0, 0, 5))
 
 
@@ -749,7 +841,7 @@ def test_common_randomness_draws_one_codebook_per_block(monkeypatch, trials):
                     code_mode="common-randomness", master_seed=32, trials=trials)
     calls = _counting(monkeypatch, "random_codebook")
     simulate(cfg)
-    blocks = len(_block_plan(cfg.n - cfg.k, cfg.rate, cfg.max_block_bits))
+    blocks = len(_block_plan(cfg))
     assert len(calls) == 4 * trials * blocks
 
 
@@ -758,7 +850,7 @@ def test_mismatched_seed_copies_draw_two_codebooks(monkeypatch):
                     source="thermal", master_seed=33, trials=3, cr_seed_bits=3)
     calls = _counting(monkeypatch, "random_codebook")
     rep = simulate(cfg)
-    blocks = len(_block_plan(cfg.n - cfg.k, cfg.rate, cfg.max_block_bits))
+    blocks = len(_block_plan(cfg))
     mismatched = sum(not row["seed_ok"] for row in rep.per_trial)
     assert mismatched > 0  # the thermal source carries no correlation
     assert len(calls) == blocks * (len(rep.per_trial) + mismatched)
@@ -768,13 +860,14 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     cr_seed_bits=3)
     other = dataclasses.replace(cfg, eta=0.6)
-    for build, args in ((_vote_logliks, (16, 4)), (_data_flip_tables, (96,))):
-        table = build(cfg, *args)
-        assert build(cfg, *args) is table
+    for build, shape in ((_vote_logliks, (4, 16, 2, 2)), (_data_flip_tables, (4, 96, 2))):
+        table = build(cfg)
+        assert table.shape == shape
+        assert build(cfg) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
-        assert not np.array_equal(build(other, *args), table)
+        assert not np.array_equal(build(other), table)
 
 
 def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
@@ -799,11 +892,13 @@ def test_vote_model_matches_the_per_round_loop():
     ]
     for source in SOURCES:
         for leaf in leaves:
-            cfg = SimConfig(alpha=1.1, n=200, k=60, rate=0.2, jammer=leaf, source=source,
-                            cr_seed_bits=3)
-            for rounds, n_slots in ((30, 4), (13, 1), (7, 3)):
-                masks = (np.arange(rounds) // n_slots) % 2
-                got = protocol._vote_model(leaf, rounds, masks, cfg)
+            # (k, cr_seed_bits): 30 rounds of 4 slots, 13 of 3 and 8 of 4
+            for k, cr_seed_bits in ((60, 3), (26, 2), (16, 3)):
+                cfg = SimConfig(alpha=1.1, n=200, k=k, rate=0.2, jammer=leaf, source=source,
+                                cr_seed_bits=cr_seed_bits)
+                rounds = k // 2
+                masks = (np.arange(rounds) // (cr_seed_bits + 1)) % 2
+                got = protocol._vote_model(leaf, cfg)
                 expected = vote_model_reference(leaf, rounds, masks, cfg)
                 assert got.shape == (rounds, 2, 2)
                 assert got.tobytes() == expected.tobytes(), (source, leaf.label, rounds)
