@@ -277,35 +277,41 @@ def _check_source(r: float, eta: float) -> None:
 
 
 def _min_symplectic_eigenvalue(big_a: np.ndarray, big_b: np.ndarray, r: float,
-                               eta: float) -> tuple[np.ndarray, np.ndarray]:
+                               eta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Smallest symplectic eigenvalue of mix_tmsv_with_jammer(r, eta, tau), C = 0,
-    and the determinant of its x-block (the homodyne covariance).
+    and the determinant of its x-block (the homodyne covariance) divided by
+    the scale g, with g.
 
     The covariance is X (+) P over the x and p quadratures, and the squared
     symplectic eigenvalues are the eigenvalues of X P. They are taken from the
     symmetric L^T P L (X = L L^T) with cosh^2 - sinh^2 = 1 folded in, so no
-    term cancels, not even for pure or degenerate states.
+    term cancels, not even for pure or degenerate states. Every term is
+    computed divided by g = 1 + (1 - eta) cosh 2r (the products by g^2, as
+    m11 and m12 are, overflow a double from r of about 142 on), and the
+    eigenvalue is scale-free.
     """
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
     u = 1.0 - eta
-    det_x = 0.5 * c * u * big_a + 0.25 * eta
-    det_p = 0.5 * c * u * big_b + 0.25 * eta
-    var_p = u * big_b + 0.5 * eta * c
-    m11 = 0.25 + 0.25 * u * u * s * s + 0.5 * u * eta * s * s * big_b / c
-    m12 = np.sqrt(det_x) * math.sqrt(eta) * s * u * (big_b - 0.5 * c) / c
+    g = 1.0 + u * c
+    cg, sg = c / g, s / g
+    det_x = 0.5 * cg * u * big_a + 0.25 * eta / g
+    det_p = 0.5 * cg * u * big_b + 0.25 * eta / g
+    var_p = u * big_b / g + 0.5 * eta * cg
+    m11 = 0.25 / g / g + 0.25 * u * u * sg * sg + 0.5 * u * eta * sg * (s / c) * big_b / g
+    m12 = np.sqrt(det_x / g) * math.sqrt(eta) * sg * u * (big_b / c - 0.5)
     m22 = var_p * det_x / (0.5 * c)
     nu_hi_sq = 0.5 * (m11 + m22) + np.hypot(0.5 * (m11 - m22), m12)
-    return np.sqrt(det_x * det_p / nu_hi_sq), det_x
+    return np.sqrt(det_x * det_p / nu_hi_sq), det_x, g
 
 
 def _quadrant_arrays(big_a: np.ndarray, big_b: np.ndarray, disp: np.ndarray,
                      r: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrant laws (N, 2, 2) and x-x correlations of the mixed states."""
-    nu_min, det_x = _min_symplectic_eigenvalue(big_a, big_b, r, eta)
+    nu_min, det_x, scale = _min_symplectic_eigenvalue(big_a, big_b, r, eta)
     if not np.all(nu_min >= 0.5 - PHYSICALITY_ATOL):
         raise ValueError("mixed state violates the uncertainty principle")
     mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
-    if not np.all((var_b > 0.0) & (det_x > 1e-14)):
+    if not np.all((var_b > 0.0) & (det_x > 1e-14 / scale)):
         raise ValueError("homodyne covariance must be positive definite (nondegenerate)")
     return quadrant_laws(mean_b / np.sqrt(var_b), rho), rho
 

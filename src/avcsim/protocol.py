@@ -21,13 +21,14 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bivariate import (
     RHO_LIMIT,
     BinaryJointDist,
+    _math_map,
     quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
     quadrant_laws,
     std_normal_cdf,  # noqa: F401  perfbench traces this module attribute
@@ -346,7 +347,9 @@ class SimReport:
 
     Error rates come with 95% Wilson score intervals (`wilson_interval`).
     Per strategy, failed seed transfers are split into those the parity
-    slot flagged and those it missed (silent).
+    slot flagged and those it missed (silent), and the trials' estimated
+    vote crossover (`mean_crossover`) stands beside the decoder model's
+    (`model_crossover`, None without a transfer phase), its cross-check.
     """
 
     config: SimConfig
@@ -359,7 +362,7 @@ class SimReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "config": self.config.to_json_dict(),
             "per_strategy": self.per_strategy,
             "per_trial": list(self.per_trial),
@@ -451,6 +454,10 @@ def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
     rounds = config.n - config.k
     # min() first: a subnormal rate makes the quotient inf
     cap = int(min(config.max_block_bits / config.rate, rounds))
+    # the quotient can round up to a length whose rate * length lands just
+    # above the cap; one round fewer then fits (rate <= 1 keeps cap >= 1)
+    while math.ceil(config.rate * cap) > config.max_block_bits:
+        cap -= 1
     full, rest = divmod(rounds, cap)
     lengths = [cap] * full + ([rest] if rest else [])
     return tuple((length, math.ceil(config.rate * length)) for length in lengths)
@@ -465,9 +472,14 @@ def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
 
 def _bpsk_flip_table(big_a: np.ndarray, disp: np.ndarray,
                      alpha: float, eta: float) -> np.ndarray:
-    """p1[i, x] = P(y = 1 | x) per round, from the homodyne quadrature law."""
+    """p1[i, x] = P(y = 1 | x) per round, from the homodyne quadrature law.
+
+    The mean is clipped to 40 sd first, so that mean / sd cannot overflow:
+    the normal CDF is exactly 0 or 1 in double precision beyond 38.5 sd.
+    """
     mean, sd = _bpsk_law(big_a, disp, alpha, eta)
-    return std_normal_cdf_array(-mean / sd[:, None])
+    bound = 40.0 * sd[:, None]
+    return std_normal_cdf_array(-np.clip(mean, -bound, bound) / sd[:, None])
 
 
 def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
@@ -514,23 +526,28 @@ def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
 # candidate leaves), so each is built once per run rather than once per
 # trial; a run needs one entry of each cache.
 @functools.lru_cache(maxsize=4)
-def _vote_logliks(config: SimConfig) -> np.ndarray:
-    """ll[h, i, f, w] = log P(vote_i = w | frame bit f) under leaf h; read-only."""
+def _vote_tables(config: SimConfig) -> tuple[np.ndarray, tuple[float, ...]]:
+    """ll[h, i, f, w] = log P(vote_i = w | frame bit f) under leaf h, from
+    `math.log` (read-only), and per leaf the vote model's input-averaged
+    crossover averaged over the transfer rounds (the report's
+    `model_crossover`)."""
     vm = np.stack([_vote_model(leaf, config) for leaf in config.jammer.leaves()])
-    ll = np.log(np.clip(vm, 1e-300, None))
+    ll = _math_map(math.log, np.clip(vm, 1e-300, None))
     ll.flags.writeable = False
-    return ll
+    crossover = 0.5 * (vm[:, :, 0, 1] + vm[:, :, 1, 0])
+    return ll, tuple(math.fsum(row) / len(row) for row in crossover.tolist())
 
 
 @functools.lru_cache(maxsize=4)
-def _data_flip_tables(config: SimConfig) -> np.ndarray:
-    """p1[h, i, x] of the data phase under leaf h; read-only."""
+def _data_block_laws(config: SimConfig) -> tuple["_BlockLaws", ...]:
+    """`_block_laws` of each data sub-block's slice of the data phase's flip
+    tables p1[h, i, x] under every leaf; p1 itself is not kept."""
     p1 = np.stack([
         _bpsk_flip_table(*_phase_params(leaf, config, 3), config.alpha, config.eta)
         for leaf in config.jammer.leaves()
     ])
-    p1.flags.writeable = False
-    return p1
+    starts = np.cumsum([0] + [length for length, _ in _block_plan(config)])
+    return tuple(_block_laws(p1[:, a:b]) for a, b in zip(starts[:-1], starts[1:]))
 
 
 # --- protocol phases --------------------------------------------------------
@@ -567,7 +584,7 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     idx = np.arange(len(votes))
     best_total = -np.inf
     decoded = np.zeros(n_slots, dtype=np.int64)
-    for ll in _vote_logliks(config):
+    for ll in _vote_tables(config)[0]:
         sums0 = np.bincount(slots, weights=ll[idx, 0, votes], minlength=n_slots)
         sums1 = np.bincount(slots, weights=ll[idx, 1, votes], minlength=n_slots)
         total = float(np.maximum(sums0, sums1).sum())
@@ -609,77 +626,166 @@ def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx
     return packed
 
 
-# messages per decoder block: its gathered terms take 8 KB per byte column
-# and leaf (557 KB for 17 columns and 4 leaves), so they stay in cache and
-# add little to the peak memory of a run
+# --- schedule-set decoding ---------------------------------------------------
+
+
+class _BlockLaws(NamedTuple):
+    """A data block's rounds grouped by law, with fixed-point log-likelihoods.
+
+    Rounds with equal p1[:, i, :] (one law under every candidate leaf) share
+    a law, and labels[i] is round i's. q[2 g + y, h, x] is 2^shift log P(y | x)
+    under law g and leaf h, rounded to an integer; the logarithms are
+    `math.log` and `math.log1p` of p1 clipped to [1e-300, 1 - 1e-16]. shift
+    is the largest exponent that keeps the block's summed largest |log P|
+    below 2^52 once scaled. So every score is an exact int64 sum, in any
+    order, and below 2^53 in magnitude, which float64 holds exactly.
+    """
+
+    labels: np.ndarray
+    q: np.ndarray
+    shift: int
+
+
+def _block_laws(p1: np.ndarray) -> _BlockLaws:
+    """The `_BlockLaws` of p1[h, i, x] = P(y_i = 1 | x) under leaf h."""
+    n_leaves, length, _ = p1.shape
+    rows = np.clip(p1, 1e-300, 1.0 - 1e-16).transpose(1, 0, 2).reshape(length, 2 * n_leaves)
+    laws, labels = np.unique(rows, axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
+    ll = np.stack([_math_map(math.log1p, -laws), _math_map(math.log, laws)], axis=1)
+    # fsum is exact, so the bound (and the shift) is that of the rounds in any order
+    bound = math.fsum(np.abs(ll).max(axis=(1, 2))[labels].tolist())
+    shift = 52 - math.frexp(bound)[1]
+    q = np.rint(np.ldexp(ll, shift)).astype(np.int64).reshape(2 * len(laws), n_leaves, 2)
+    labels.flags.writeable = q.flags.writeable = False
+    return _BlockLaws(labels, q, shift)
+
+
+def _count_scores(codebook: np.ndarray, classes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """scores[h, m] = sum_c n_c steps[c, h], n_c the set bits of codeword m
+    in class c (a row of the boolean `classes`), counted per uint64 word."""
+    n_messages, row_bytes = codebook.shape
+    n_words = -(-row_bytes // 8)
+    # words[w, m] is bytes 8w to 8w + 7 of row m. A row's last word runs on
+    # into the next row (the last row's into a zero tail), but those bits lie
+    # past the row's rounds, where no class mask has a bit.
+    stream = np.zeros(codebook.size + 8, dtype=np.uint8)
+    stream[: codebook.size] = codebook.reshape(-1)
+    words = np.ascontiguousarray(np.ndarray((n_words, n_messages), dtype="<u8", buffer=stream,
+                                            strides=(8, row_bytes)))
+    masks = np.zeros((len(classes), 8 * n_words), dtype=np.uint8)
+    masks[:, :row_bytes] = np.packbits(classes, axis=1, bitorder="little")
+    masks = masks.view("<u8")
+    scores = np.zeros((steps.shape[1], n_messages), dtype=np.int64)
+    term = np.empty_like(scores)
+    word = np.empty(n_messages, dtype=np.uint64)
+    count = np.empty(n_messages, dtype=np.int64)
+    for mask, step in zip(masks, steps):
+        count[:] = 0
+        for w in np.flatnonzero(mask):
+            np.bitwise_and(words[w], mask[w], out=word)
+            count += np.bitwise_count(word)
+        np.multiply(step[:, None], count, out=term)
+        scores += term
+    return scores
+
+
+# messages per byte-table block: its gathered terms take 8 KB per byte column
+# and leaf (697 KB for 17 columns and 5 leaves), so they stay in cache and add
+# little to the peak memory of a run
 _DECODE_BLOCK = 1024
 
 
-def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
-                         p1: np.ndarray) -> int:
-    """Exact likelihood decoding against a candidate set of per-round laws.
-
-    `codebook` is packed as `random_codebook` returns it: uint8 rows of
-    ceil(L/8) bytes, L the number of rounds in `p1`, with zero padding bits.
-    An unpacked 0/1 codebook is rejected, since its entries would be read as
-    byte values. p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h; candidates
-    get a uniform prior and the per-block likelihoods are mixed exactly. For
-    a single candidate whose rounds form one binary symmetric channel with
-    crossover below 1/2 the ranking reduces to Hamming distance.
-
-    No BLAS product is involved, and every sum runs in a fixed order, so the
-    pick does not depend on the BLAS kernel. (The logarithms and the
-    log-sum-exp use numpy's exp/log, whose last bit can depend on the SIMD
-    code numpy dispatches to.) Under leaf h a
-    message scores base[h] (the log-likelihood of the all-zero word, summed
-    round by round), then plus one table entry per byte column, columns in
-    order. The entry for byte value v of column j adds the log-likelihood
-    differences of rounds 8j + t over the set bits t of v, lowest bit first.
-    The leaves are mixed by log-sum-exp with their terms added in leaf
-    order. Identical codewords therefore score identically and go to the
-    lowest message index. Distinct codewords whose exact scores tie (equal
-    agreement counts under one law) can score apart in the last bit, always
-    the same way.
-    """
-    p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
-    ll = np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1))
-    n_leaves, length, _ = ll.shape
-    if codebook.dtype != np.uint8 or codebook.ndim != 2 or codebook.shape[1] != (length + 7) // 8:
-        raise ValueError(f"codebook must be packed uint8 rows of {(length + 7) // 8} bytes "
-                         f"for {length} rounds, got {codebook.dtype} of shape {codebook.shape}")
+def _table_scores(codebook: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """scores[h, m] = sum of steps[i, h] over the set bits i of codeword m, by
+    one 256-entry table per byte column (its values built by eight doublings)."""
     n_messages, row_bytes = codebook.shape
-    base = np.cumsum(ll[:, :, 0], axis=1)[:, -1]
-    # tables[j, v, h] by 8 doublings: the values with top bit t are those
-    # below 2^t plus round 8j + t's difference; padding rounds add zero
-    steps = np.zeros((row_bytes, 8, n_leaves))
-    steps.reshape(-1, n_leaves)[:length] = (ll[:, :, 1] - ll[:, :, 0]).T
-    tables = np.zeros((row_bytes, 256, n_leaves))
+    length, n_leaves = steps.shape
+    bits = np.zeros((8 * row_bytes, n_leaves), dtype=np.int64)
+    bits[:length] = steps
+    bits = bits.reshape(row_bytes, 8, n_leaves)
+    tables = np.zeros((row_bytes, 256, n_leaves), dtype=np.int64)
     for t in range(8):
-        tables[:, 1 << t : 2 << t] = tables[:, : 1 << t] + steps[:, t, None]
+        tables[:, 1 << t : 2 << t] = tables[:, : 1 << t] + bits[:, t, None]
     tables = tables.reshape(-1, n_leaves)
     offsets = (256 * np.arange(row_bytes))[:, None]
-    # messages are scored in blocks only to bound the gathered terms' memory;
-    # every message's arithmetic is the same in any block. The two buffers
-    # are reused from block to block: allocating them afresh for each block
-    # made an 8192-message call about 1.7 times slower.
-    scores = np.empty((n_leaves, n_messages))
+    # the two buffers are reused from block to block: allocating them afresh
+    # for each block made an 8192-message call about 1.7 times slower
+    scores = np.empty((n_leaves, n_messages), dtype=np.int64)
     rows = terms = None
     for start in range(0, n_messages, _DECODE_BLOCK):
         block = codebook[start : start + _DECODE_BLOCK]
         if rows is None or rows.shape[1] != block.shape[0]:
             rows = np.empty((row_bytes, block.shape[0]), dtype=np.intp)
-            terms = np.empty((row_bytes, block.shape[0], n_leaves))
+            terms = np.empty((row_bytes, block.shape[0], n_leaves), dtype=np.int64)
         np.add(block.T, offsets, out=rows)
         tables.take(rows, axis=0, out=terms, mode="clip")
-        acc = base + terms[0]
-        for j in range(1, row_bytes):
-            acc += terms[j]
-        scores[:, start : start + block.shape[0]] = acc.T
+        scores[:, start : start + block.shape[0]] = terms.sum(axis=0).T
+    return scores
+
+
+def _mixture_pick(scores: np.ndarray, shift: int) -> int:
+    """The message whose leaf mixture log sum_h exp(s_h) is highest, s_h =
+    2^-shift scores[h, m]; an exact tie goes to the lowest index.
+
+    A mixture lies in [max_h s_h, max_h s_h + log H]. So only messages whose
+    best leaf is within log H of the overall best (plus two units, for the
+    rounding of the mixing) can win, and only they are mixed, with
+    `math.exp` and `math.fsum`.
+    """
     top = scores.max(axis=0)
-    total = np.exp(scores[0] - top)
-    for h in range(1, n_leaves):
-        total += np.exp(scores[h] - top)
-    return int(np.argmax(top + np.log(total)))
+    window = math.ceil(math.ldexp(math.log(scores.shape[0]), shift)) + 2
+    near = np.flatnonzero(top >= top.max() - window)
+    pick, pick_value = -1, -math.inf
+    for m, best, row in zip(near.tolist(), top[near].tolist(), scores[:, near].T.tolist()):
+        value = math.ldexp(best, -shift) + math.log(
+            math.fsum(math.exp(math.ldexp(s - best, -shift)) for s in row))
+        if value > pick_value:
+            pick, pick_value = m, value
+    return pick
+
+
+def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray, p1) -> int:
+    """Exact likelihood decoding against a candidate set of per-round laws.
+
+    `codebook` is packed as `random_codebook` returns it: uint8 rows of
+    ceil(L/8) bytes, L the number of rounds in `p1`. An unpacked 0/1 codebook
+    is rejected, since its entries would be read as byte values.
+    p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h, each with a
+    uniform prior; a run passes its cached `_block_laws(p1)` instead. On one
+    binary symmetric channel with crossover below 1/2 the ranking reduces to
+    Hamming distance.
+
+    A leaf's score is an exact integer, the sum of the rounds' fixed-point
+    log-likelihoods (`_BlockLaws`): base_h + sum_c n_c d_{h,c} over the
+    classes c (the rounds of one law that received one bit), with n_c =
+    popcount(codeword AND mask_c). Codewords with equal counts score equal,
+    and no score depends on a BLAS kernel or a SIMD path. `_mixture_pick`
+    mixes the leaves; an exact tie goes to the lowest message index. Each
+    class costs a pass over the codewords, so with many classes (a
+    `gaussian` leaf of many states) one 256-entry table per byte column sums
+    the same integers faster.
+    """
+    laws = p1 if isinstance(p1, _BlockLaws) else _block_laws(p1)
+    length, n_leaves = laws.labels.size, laws.q.shape[1]
+    if codebook.dtype != np.uint8 or codebook.ndim != 2 or codebook.shape[1] != (length + 7) // 8:
+        raise ValueError(f"codebook must be packed uint8 rows of {(length + 7) // 8} bytes "
+                         f"for {length} rounds, got {codebook.dtype} of shape {codebook.shape}")
+    round_class = 2 * laws.labels + (np.asarray(y) == 1)
+    sizes = np.bincount(round_class, minlength=len(laws.q))
+    present = np.flatnonzero(sizes)
+    q = laws.q[present]
+    base = (sizes[present, None] * q[:, :, 0]).sum(axis=0)
+    steps = q[:, :, 1] - q[:, :, 0]
+    # a class costs about two passes over the codewords per word of its mask
+    # and one per leaf; a byte column about three plus one per leaf
+    n_words, row_bytes = -(-length // 64), codebook.shape[1]
+    if len(present) * (2 * n_words + n_leaves) < row_bytes * (n_leaves + 3):
+        scores = _count_scores(codebook, round_class == present[:, None], steps)
+    else:
+        scores = _table_scores(codebook, steps[np.searchsorted(present, round_class)])
+    scores += base[:, None]
+    return _mixture_pick(scores, laws.shift)
 
 
 def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
@@ -700,7 +806,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     if sum(b for _, b in plan) != len(message_bits):
         raise ValueError("message length does not match the block plan")
     big_a, disp = _phase_params(strategy, config, 3)
-    p1 = _data_flip_tables(config)
+    laws = _data_block_laws(config)
     # the codebook key depends only on the seed value, so equal copies share one draw
     shared = np.array_equal(sender_seed, receiver_seed)
     decoded = np.zeros_like(message_bits)
@@ -719,8 +825,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
         )
         cb_recv = cb_send if shared else random_codebook(
             1 << bits, length, config.master_seed, strategy_idx, trial, receiver_seed, block)
-        m_hat = schedule_set_decoder(cb_recv, y,
-                                     p1[:, pos_rounds : pos_rounds + length, :])
+        m_hat = schedule_set_decoder(cb_recv, y, laws[block])
         decoded[pos_bits : pos_bits + bits] = [(m_hat >> j) & 1 for j in range(bits - 1, -1, -1)]
         pos_rounds += length
         pos_bits += bits
@@ -862,6 +967,8 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
             "empirical_error": failures[-1] / len(rows),
             "error_ci95": list(wilson_interval(failures[-1], len(rows))),
             "mean_crossover": sum(row["t_hat"] for row in rows) / len(rows),
+            "model_crossover": (_vote_tables(config)[1][si]
+                                if config.code_mode == "correlation-assisted" else None),
             "seed_agreement_rate": sum(float(row["seed_ok"]) for row in rows) / len(rows),
             "parity_flag_rate": sum(1.0 - float(row["parity_ok"]) for row in rows) / len(rows),
             "seed_failures_flagged": sum(not row["seed_ok"] and not row["parity_ok"]

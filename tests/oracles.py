@@ -5,7 +5,7 @@ math.erf): the error function is evaluated from its Taylor series and a
 Lentz continued fraction, tail probabilities use exact binomial
 coefficients, and the Monte Carlo estimators report their own binomial
 standard errors. The packed codebook stream is rebuilt bit by bit, and the
-decoder is rerun in Python floats in its fixed summation order. The
+decoder is rerun round by round in Python integers, with no classes. The
 rational simplex is the one the integer-preserving simplex replaced, the
 adaptive quadrature and the h = 0 kernel are the bivariate CDFs that the
 general-(h, k) kernel replaced, and the scalar sweep, the per-key grid
@@ -235,70 +235,53 @@ def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
 
 
 def _round_logliks(y: np.ndarray, p1: np.ndarray) -> list:
-    """ll[h][i][x] = log P(y_i | x) under leaf h, as the decoder computes it."""
-    p1 = np.clip(p1, 1e-300, 1.0 - 1e-16)
-    return np.where(y[None, :, None] == 1, np.log(p1), np.log1p(-p1)).tolist()
+    """ll[h][i][x] = log P(y_i | x) under leaf h, from `math` as the decoder takes it."""
+    p1 = np.clip(p1, 1e-300, 1.0 - 1e-16).tolist()
+    return [[[math.log(p) if yi == 1 else math.log1p(-p) for p in px]
+             for yi, px in zip(np.asarray(y).tolist(), leaf)] for leaf in p1]
 
 
 def schedule_set_decoder_reference(bits: np.ndarray, y: np.ndarray, p1: np.ndarray) -> int:
-    """`protocol.schedule_set_decoder` on an unpacked (M, L) 0/1 codebook, in Python floats.
+    """`protocol.schedule_set_decoder` on an unpacked (M, L) 0/1 codebook, in Python.
 
-    Adds in the decoder's fixed order: per leaf the x = 0 log-likelihoods
-    round by round, then per byte column the differences of its set bits,
-    lowest bit first, each column's sum added to the running score; then
-    log-sum-exp over the leaves in leaf order. exp and log are numpy's, as
-    in the decoder, since they need not match `math`'s in the last bit.
+    Round by round, with no classes and no counts: the shift is the largest
+    that keeps the rounds' summed largest |log P| (over leaves, inputs and
+    both outputs) below 2^52 once scaled; each log-likelihood is scaled by it
+    and rounded to an integer; a leaf's score is the Python-integer sum over
+    the rounds. Every message is mixed with `math.exp` and `math.fsum`, and
+    the first message with the highest mixture wins.
     """
     ll = _round_logliks(y, p1)
-    length = len(ll[0])
-    delta = [[row[i][1] - row[i][0] for i in range(length)] for row in ll]
-    bases = []
-    for row in ll:
-        total = row[0][0]
-        for i in range(1, length):
-            total += row[i][0]
-        bases.append(total)
-    all_scores = []
-    for word in np.asarray(bits).tolist():
-        scores = []
-        for base, d in zip(bases, delta):
-            score = base
-            for j in range(0, length, 8):
-                column = 0.0
-                for i in range(j, min(j + 8, length)):
-                    if word[i]:
-                        column += d[i]
-                score += column
-            scores.append(score)
-        all_scores.append(scores)
-    tops = [max(scores) for scores in all_scores]
-    # numpy's exp and log give the same value for an element whatever the
-    # array around it, so one call each serves every message
-    exps = np.exp([[s - top for s in scores] for scores, top in zip(all_scores, tops)]).tolist()
-    totals = []
-    for row in exps:
-        total = row[0]
-        for e in row[1:]:
-            total += e
-        totals.append(total)
-    values = [top + lg for top, lg in zip(tops, np.log(totals).tolist())]
-    return values.index(max(values))
+    flipped = _round_logliks(1 - np.asarray(y), p1)
+    peaks = [max(abs(v) for leaf in (ll, flipped) for h in leaf for v in h[i])
+             for i in range(len(ll[0]))]
+    shift = 52 - math.frexp(math.fsum(peaks))[1]
+    fixed = [[[round(math.ldexp(v, shift)) for v in r] for r in leaf] for leaf in ll]
+    pick, pick_value = -1, -math.inf
+    for m, word in enumerate(np.asarray(bits).tolist()):
+        scores = [sum(r[x] for r, x in zip(leaf, word)) for leaf in fixed]
+        top = max(scores)
+        value = math.ldexp(top, -shift) + math.log(
+            math.fsum(math.exp(math.ldexp(s - top, -shift)) for s in scores))
+        if value > pick_value:
+            pick, pick_value = m, value
+    return pick
 
 
 def schedule_set_exact_scores(bits: np.ndarray, y: np.ndarray, p1: np.ndarray) -> list:
     """Each message's mixture score from exact per-leaf log-likelihoods.
 
-    Per leaf, the base log-likelihood plus the float differences of the set
-    bits is summed exactly (as `Fraction`s, kept as integers over one
-    power-of-two denominator) and rounded once to a float; the log-sum-exp
-    over leaves is then in floats.
+    Per leaf, the rounds' float log-likelihoods are summed exactly (as
+    `Fraction`s, kept as integers over one power-of-two denominator) and
+    rounded once to a float; the log-sum-exp over leaves is then taken with
+    `math.fsum`. Codewords with equal per-class counts get equal scores.
     """
     ll = _round_logliks(y, p1)
     words = np.asarray(bits, dtype=np.int64).astype(object)
     leaf_scores = []
     for row in ll:
         base = sum(Fraction(r[0]) for r in row)
-        delta = [Fraction(r[1] - r[0]) for r in row]
+        delta = [Fraction(r[1]) - Fraction(r[0]) for r in row]
         # every denominator is a power of two, so the largest is a common one
         den = max(f.denominator for f in delta + [base])
         nums = np.array([f.numerator * (den // f.denominator) for f in delta], dtype=object)
@@ -308,7 +291,7 @@ def schedule_set_exact_scores(bits: np.ndarray, y: np.ndarray, p1: np.ndarray) -
     out = []
     for scores in zip(*leaf_scores):
         top = max(scores)
-        out.append(top + math.log(sum(math.exp(s - top) for s in scores)))
+        out.append(top + math.log(math.fsum(math.exp(s - top) for s in scores)))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -90,6 +91,26 @@ def test_sweep_input_beyond_double_range_exits_2(argv, message, tmp_path, capsys
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out_csv.exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("r", ["150", "200", "355"])
+def test_sweep_at_large_squeezing_runs_or_refuses_in_one_line(r, tmp_path, capsys):
+    # cosh(2r) is finite here but its square is not; RuntimeWarnings are errors
+    out_csv = tmp_path / "sweep.csv"
+    # no sender light: the receiver bit is the jammer's alone, so every law is defined
+    argv = ["sweep", "--alpha", "1.0", "--r", r, "--resolution", "16", "--out", str(out_csv)]
+    assert main([*argv, "--eta", "0"]) == 0
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == 245
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    capsys.readouterr()
+    # with the sender's light the sign bits' correlation rounds to 1
+    out_csv.unlink()
+    assert main([*argv, "--eta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad sweep input: |rho| must be <= 0.999999999")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out_csv.exists()
 
 
 def test_symmetrize_verdict_exit_codes(tmp_path, capsys):
@@ -338,19 +359,19 @@ def test_simulate_rejects_unknown_config_field_with_exit_2(tmp_path, capsys):
 PINNED_RUNS = {
     "correlation-assisted": (
         {"k": 32, "cr_seed_bits": 3},
-        "5fee16a1e04cdf0cc1c31bae565c7eab226b7062ef8ccb303501c0a155beca99",
+        "1cb8c71765b2f289426912ae8c054186b776e67e44f7a479dffcf667385bdf86",
         "c62236516bbfcb18aaed2ba4bb42a411210d5c1743c3bdb4cba430f31859ae71"),
     "thermal": (
         {"k": 32, "cr_seed_bits": 3, "source": "thermal"},
-        "06fd74feb4d010de94aca67b9284e9a877f957a52ce3bdb6eb6389aba4a1c5b4",
+        "ecc53ef6195cc23017a75eda26062f41f9c00921df891a25d06feae7166064ae",
         "630cb218a1ba89286b4b0adcb1c7814ca5ac722a3b0456153ba3e19b9706d3ee"),
     "common-randomness": (
         {"code_mode": "common-randomness"},
-        "8f957dc19d0ef0abfeae2dca69ad29f1090a3a657320113cab71ec2b5ab9cd33",
+        "6ee8b692a5866345835ac5b29b2bad67f0905167de51125836ee5cd125b9995a",
         "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
     "deterministic": (
         {"code_mode": "deterministic"},
-        "a335e92610732ccda1840151c515f88fb32ecffb4ea9349e7756ce9f0066610a",
+        "bfdaedc922dda7a1074b26144cc5fd20a9c653b75e79ac25af1cf25cceeb5c21",
         "1eb3b7ab3316a950b306425649e72d9fad7720e8f8a094f95691adce0cd316c8"),
 }
 
@@ -368,28 +389,51 @@ def test_simulate_artifacts_match_pinned_hashes(name, tmp_path, capsys):
     assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == trials_sha
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_simulate_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
-    # the thermal source makes seed transfers fail, and decoding with the
-    # wrong codebook meets many exactly tied scores; a decoder whose sums
-    # follow the BLAS kernel's order broke some of them differently under
-    # Prescott
+def _thermal_run_artifacts(tmp_path, name: str, env_set: dict) -> tuple[bytes, bytes]:
+    """report.json and trials.csv of a thermal seed-mismatch run in a fresh
+    process, with `env_set` in its environment (and no inherited
+    OPENBLAS_CORETYPE or NPY_DISABLE_CPU_FEATURES).
+
+    The thermal source makes seed transfers fail, and decoding with the
+    wrong codebook meets many exactly tied scores.
+    """
     cfg = SimConfig(alpha=1.0, n=1024, k=200, rate=0.1, jammer=canonical_schedules(),
                     source="thermal", master_seed=7, trials=10, cr_seed_bits=3)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_json_dict()))
     src = os.path.dirname(os.path.dirname(avcsim.__file__))
-    artifacts = []
-    for coretype in (None, "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (env.get("PYTHONPATH"),) if p])
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        out = tmp_path / (coretype or "default")
-        proc = subprocess.run([sys.executable, "-m", "avcsim.cli", "simulate", str(path),
-                               "--out", str(out)], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        artifacts.append(((out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()))
-    assert artifacts[0][0] == artifacts[1][0]
-    assert artifacts[0][1] == artifacts[1][1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (env.get("PYTHONPATH"),) if p])
+    env.update(env_set)
+    out = tmp_path / name
+    proc = subprocess.run([sys.executable, "-m", "avcsim.cli", "simulate", str(path),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return (out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_simulate_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a decoder whose sums followed the BLAS kernel's order broke some exact
+    # ties differently under Prescott
+    default = _thermal_run_artifacts(tmp_path, "default", {})
+    assert _thermal_run_artifacts(tmp_path, "prescott", {"OPENBLAS_CORETYPE": "Prescott"}) == default
+
+
+def _simd_features_found() -> list:
+    """The SIMD targets numpy dispatches to on this CPU (beyond its baseline)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+@pytest.mark.skipif(not _simd_features_found(), reason="numpy dispatches to no SIMD target here")
+def test_simulate_artifacts_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # numpy's exp and log can differ in the last bit from one SIMD target to
+    # another; the decoders take their logarithms and the mixing from `math`
+    default = _thermal_run_artifacts(tmp_path, "default", {})
+    scalar = _thermal_run_artifacts(
+        tmp_path, "scalar", {"NPY_DISABLE_CPU_FEATURES": " ".join(_simd_features_found())})
+    assert scalar == default

@@ -315,13 +315,14 @@ def test_min_symplectic_eigenvalue_closed_form():
     for r, eta in cases:
         big_a = rng.uniform(0.05, 6.0, 5)
         big_b = 0.25 / big_a * rng.choice([1.0, 1.0, 3.0], 5)
-        got, det_x = geometry._min_symplectic_eigenvalue(big_a, big_b, r, eta)
+        got, det_x, scale = geometry._min_symplectic_eigenvalue(big_a, big_b, r, eta)
+        assert scale == 1.0 + (1.0 - eta) * math.cosh(2.0 * r)
         for i in range(5):
             state = mix_tmsv_with_jammer(r, eta, JammerGaussian(A=big_a[i], B=big_b[i]))
             assert got[i] == pytest.approx(symplectic_eigenvalues(state.cov).min(),
                                            abs=1e-12, rel=1e-12), (r, eta, big_a[i], big_b[i])
             x_block = state.cov[np.ix_([0, 2], [0, 2])]
-            assert det_x[i] == pytest.approx(np.linalg.det(x_block), abs=1e-12, rel=1e-9)
+            assert det_x[i] * scale == pytest.approx(np.linalg.det(x_block), abs=1e-12, rel=1e-9)
 
 
 def test_batched_checks_reject_bad_states():

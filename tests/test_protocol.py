@@ -33,13 +33,17 @@ from avcsim.protocol import (
 )
 from avcsim import protocol
 from avcsim.protocol import (
+    _block_laws,
     _block_plan,
     _bpsk_outputs,
-    _data_flip_tables,
+    _count_scores,
+    _data_block_laws,
     _pair_outputs,
     _pool_size,
     _rng,
-    _vote_logliks,
+    _table_scores,
+    _vote_model,
+    _vote_tables,
 )
 
 from oracles import (
@@ -500,14 +504,15 @@ def test_random_codebook_equals_the_integers_draw(shape):
 
 # the test keeps the name it had when the reference was the int64 product
 def test_schedule_set_decoder_matches_the_int64_reference():
-    """Picks equal the Python-float oracle's and are optimal up to rounding."""
+    """Picks equal the round-by-round oracle's, and each is the lowest index
+    of the exact maximum."""
     rng = np.random.default_rng(20260814)
     # (rows, leaves, length, one constant law per leaf)
     cases = [(rows, leaves, int(rng.integers(1, 131)), False)
              for rows in (1, 2, 511, 512, 513, 3 * 512 + 1) for leaves in (1, 2, 3, 4)]
-    # constant laws on short blocks make exact ties common; a tie goes to
-    # whichever score the fixed summation order rounds up, so any change to
-    # that order changes some of these picks
+    # constant laws on short blocks make exact ties common: codewords with
+    # equal counts of ones among the rounds that received 0 and among those
+    # that received 1 tie exactly, and the lowest index must win
     cases += [(rows, 4, 16, True) for rows in (513, 3 * 512 + 1) for _ in range(100)]
     for rows, leaves, length, constant in cases:
         if constant:
@@ -520,6 +525,7 @@ def test_schedule_set_decoder_matches_the_int64_reference():
         assert pick == schedule_set_decoder_reference(bits, y, p1)
         exact = schedule_set_exact_scores(bits, y, p1)
         assert exact[pick] >= max(exact) - 1e-9 * abs(max(exact))
+        assert pick == exact.index(max(exact))
 
 
 @pytest.mark.parametrize("first,second,rows", [(511, 512, 1024), (0, 1536, 3 * 512 + 1)])
@@ -538,6 +544,50 @@ def test_schedule_set_decoder_breaks_an_exact_tie_to_the_lowest_index(first, sec
     assert schedule_set_decoder(_pack(codebook), y, p1) == first
 
 
+def test_decoder_kernels_give_the_same_integer_scores():
+    """The class-count and the byte-table kernel add up the same fixed-point
+    log-likelihoods, each equal to the round-by-round integer sum."""
+    rng = np.random.default_rng(20261019)
+    for length in (1, 7, 8, 63, 64, 65, 130, 300):
+        for n_laws in (1, 3, length):
+            leaves, rows = int(rng.integers(1, 6)), int(rng.integers(1, 700))
+            p1 = rng.uniform(0.01, 0.99, (leaves, n_laws, 2))[:, rng.integers(0, n_laws, length)]
+            y = rng.integers(0, 2, length)
+            bits = rng.integers(0, 2, (rows, length))
+            laws = _block_laws(p1)
+            round_class = 2 * laws.labels + y
+            present = np.unique(round_class)
+            steps = laws.q[present, :, 1] - laws.q[present, :, 0]
+            counted = _count_scores(_pack(bits), round_class == present[:, None], steps)
+            tabled = _table_scores(_pack(bits), steps[np.searchsorted(present, round_class)])
+            per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
+            exact = (bits.astype(object) @ per_round.astype(object)).T
+            assert np.array_equal(counted, tabled)
+            assert np.array_equal(counted, exact.astype(np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(1, 4), length=st.integers(1, 140),
+       n_laws=st.integers(1, 4), rows=st.integers(1, 300), at=st.floats(0.0, 1.0))
+def test_equal_class_counts_score_equal(seed, leaves, length, n_laws, rows, at):
+    """A copy of the pick with its bits permuted within each class (rounds of
+    one law that received one bit) ties with it exactly; the lower index wins."""
+    rng = np.random.default_rng(seed)
+    label = rng.integers(0, n_laws, length)
+    p1 = rng.uniform(0.02, 0.98, (leaves, n_laws, 2))[:, label]
+    y = rng.integers(0, 2, length)
+    bits = rng.integers(0, 2, (rows, length))
+    pick = schedule_set_decoder(_pack(bits), y, p1)
+    twin = bits[pick].copy()
+    round_class = 2 * label + y
+    for c in np.unique(round_class):
+        idx = np.flatnonzero(round_class == c)
+        twin[idx] = twin[rng.permutation(idx)]
+    where = int(at * rows)
+    doubled = np.insert(bits, where, twin, axis=0)
+    assert schedule_set_decoder(_pack(doubled), y, p1) == (where if where <= pick else pick)
+
+
 def _data_config(rounds: int, rate: float, max_block_bits: int) -> SimConfig:
     """A config whose data phase has the given rounds, rate and block cap."""
     return SimConfig(alpha=1.0, n=rounds + 32, k=32, rate=rate, jammer=canonical_schedules(),
@@ -552,6 +602,30 @@ def test_block_plan_caps_and_covers():
     assert _block_plan(_data_config(5, 1.0, 1)) == ((1, 1),) * 5
     # 13 / rate overflows to inf
     assert _block_plan(_data_config(64, 5e-324, 13)) == ((64, 1),)
+
+
+def _assert_plan_caps_and_covers(rounds: int, rate: float, max_block_bits: int) -> None:
+    cfg = SimConfig(alpha=1.0, n=rounds, k=0, rate=rate, max_block_bits=max_block_bits,
+                    code_mode="deterministic", jammer=JammerStrategy.from_symbols((0,)))
+    plan = _block_plan(cfg)
+    assert sum(length for length, _ in plan) == rounds
+    for length, bits in plan:
+        assert bits == math.ceil(rate * length) <= max_block_bits, (rate, max_block_bits, plan)
+
+
+def test_block_plan_never_exceeds_the_bit_cap():
+    # max_block_bits / rate rounds up to 273 here, and 3/273 * 273 is just
+    # above 3: 273-round blocks would carry 4 bits, 16 messages and not 8
+    cfg = SimConfig(alpha=1.0, n=600, k=0, rate=3 / 273, max_block_bits=3,
+                    code_mode="deterministic", jammer=JammerStrategy.from_symbols((0,)))
+    assert _block_plan(cfg)[0] == (272, 3)
+    for max_block_bits in range(1, 17):
+        for d in range(max_block_bits, 400):
+            _assert_plan_caps_and_covers(600, max_block_bits / d, max_block_bits)
+    rng = np.random.default_rng(273)
+    for _ in range(300):
+        _assert_plan_caps_and_covers(int(rng.integers(1, 5000)), float(rng.uniform(1e-4, 1.0)),
+                                     int(rng.integers(1, 17)))
 
 
 def test_run_correlation_phase_counts():
@@ -719,7 +793,7 @@ def test_report_states_error_intervals_and_splits_seed_failures():
                     source="thermal", master_seed=33, trials=6, cr_seed_bits=3)
     rep = simulate(cfg)
     data = rep.to_json_dict()
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     failed_total = 0
     for label, stats in rep.per_strategy.items():
         rows = [row for row in rep.per_trial if row["strategy"] == label]
@@ -744,7 +818,23 @@ def test_simulate_modes_without_side_rounds():
                         code_mode=mode, master_seed=5, trials=2)
         rep = simulate(cfg)
         assert rep.per_strategy["all-0"]["seed_agreement_rate"] == 1.0
+        assert rep.per_strategy["all-0"]["model_crossover"] is None
         assert len(rep.per_trial) == 2
+
+
+def test_model_crossover_cross_checks_the_estimated_one():
+    # criterion 10's transfer phase: 400 votes per trial, decoded correctly
+    cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=20260813, trials=25, cr_seed_bits=1)
+    rep = simulate(cfg)
+    for si, (label, stats) in enumerate(rep.per_strategy.items()):
+        vm = _vote_model(cfg.jammer.leaves()[si], cfg)
+        model = float(np.mean(0.5 * (vm[:, 0, 1] + vm[:, 1, 0])))
+        assert stats["model_crossover"] == pytest.approx(model, rel=1e-12)
+        assert stats["seed_agreement_rate"] == 1.0
+        votes = cfg.trials * cfg.k // 2
+        sd = math.sqrt(model * (1.0 - model) / votes)
+        assert abs(stats["mean_crossover"] - model) <= 4 * sd, label
 
 
 # --- strict config inputs -----------------------------------------------------
@@ -827,12 +917,15 @@ def _counting(monkeypatch, name):
 def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     master_seed=31, trials=trials, cr_seed_bits=3)
-    _vote_logliks.cache_clear()
-    _data_flip_tables.cache_clear()
+    for cache in (_vote_tables, _data_block_laws):
+        cache.cache_clear()
     calls = _counting(monkeypatch, "_bpsk_flip_table")
+    laws = _counting(monkeypatch, "_block_laws")
     simulate(cfg)
     # one transfer-phase and one data-phase table per canonical leaf
     assert len(calls) == 8
+    # and the decoder's laws once per data block
+    assert len(laws) == len(_block_plan(cfg))
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -860,14 +953,19 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     cr_seed_bits=3)
     other = dataclasses.replace(cfg, eta=0.6)
-    for build, shape in ((_vote_logliks, (4, 16, 2, 2)), (_data_flip_tables, (4, 96, 2))):
-        table = build(cfg)
-        assert table.shape == shape
-        assert build(cfg) is table
+    ll = _vote_tables(cfg)[0]
+    laws = _data_block_laws(cfg)
+    assert _vote_tables(cfg)[0] is ll and _data_block_laws(cfg) is laws
+    # the vote log-likelihoods, and per data block the round laws and their
+    # fixed-point log-likelihoods
+    assert ll.shape == (4, 16, 2, 2)
+    assert [block.labels.size for block in laws] == [length for length, _ in _block_plan(cfg)]
+    for table in (ll, *(block.labels for block in laws), *(block.q for block in laws)):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0, 0] = 0.0
-        assert not np.array_equal(build(other), table)
+            table[(0,) * table.ndim] = 0
+    assert not np.array_equal(_vote_tables(other)[0], ll)
+    assert not np.array_equal(_data_block_laws(other)[0].q, laws[0].q)
 
 
 def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
@@ -879,6 +977,23 @@ def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
         for x in (0, 1):
             mean = math.sqrt(2.0 * eta) * alpha * (1.0 - 2.0 * x) + math.sqrt(1.0 - eta) * disp[i]
             assert table[i, x] == std_normal_cdf(-mean / sd)
+
+
+def test_a_displacement_near_the_double_maximum_runs_without_overflow():
+    # mean / sd would be 2.4e308: the flip table clips the mean to 40 sd first,
+    # where the normal CDF is already exactly 0 or 1
+    state = JammerGaussian(A=1e-200, B=1e200, a=1.7e308)
+    table = protocol._bpsk_flip_table(np.array([state.A]), np.array([state.a]), 1.0, 0.5)
+    assert table.tolist() == [[0.0, 0.0]]
+    jam = JammerStrategy.from_states([state])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode, k in (("deterministic", 0), ("common-randomness", 0),
+                        ("correlation-assisted", 16)):
+            for source in SOURCES:
+                cfg = SimConfig(alpha=1.0, n=40, k=k, rate=0.3, jammer=jam, code_mode=mode,
+                                source=source, cr_seed_bits=1, trials=2)
+                assert len(simulate(cfg).per_trial) == 2
 
 
 def test_vote_model_matches_the_per_round_loop():
