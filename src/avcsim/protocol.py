@@ -690,40 +690,6 @@ def _count_scores(codebook: np.ndarray, classes: np.ndarray, steps: np.ndarray) 
     return scores
 
 
-# messages per byte-table block: its gathered terms take 8 KB per byte column
-# and leaf (697 KB for 17 columns and 5 leaves), so they stay in cache and add
-# little to the peak memory of a run
-_DECODE_BLOCK = 1024
-
-
-def _table_scores(codebook: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """scores[h, m] = sum of steps[i, h] over the set bits i of codeword m, by
-    one 256-entry table per byte column (its values built by eight doublings)."""
-    n_messages, row_bytes = codebook.shape
-    length, n_leaves = steps.shape
-    bits = np.zeros((8 * row_bytes, n_leaves), dtype=np.int64)
-    bits[:length] = steps
-    bits = bits.reshape(row_bytes, 8, n_leaves)
-    tables = np.zeros((row_bytes, 256, n_leaves), dtype=np.int64)
-    for t in range(8):
-        tables[:, 1 << t : 2 << t] = tables[:, : 1 << t] + bits[:, t, None]
-    tables = tables.reshape(-1, n_leaves)
-    offsets = (256 * np.arange(row_bytes))[:, None]
-    # the two buffers are reused from block to block: allocating them afresh
-    # for each block made an 8192-message call about 1.7 times slower
-    scores = np.empty((n_leaves, n_messages), dtype=np.int64)
-    rows = terms = None
-    for start in range(0, n_messages, _DECODE_BLOCK):
-        block = codebook[start : start + _DECODE_BLOCK]
-        if rows is None or rows.shape[1] != block.shape[0]:
-            rows = np.empty((row_bytes, block.shape[0]), dtype=np.intp)
-            terms = np.empty((row_bytes, block.shape[0], n_leaves), dtype=np.int64)
-        np.add(block.T, offsets, out=rows)
-        tables.take(rows, axis=0, out=terms, mode="clip")
-        scores[:, start : start + block.shape[0]] = terms.sum(axis=0).T
-    return scores
-
-
 def _mixture_pick(scores: np.ndarray, shift: int) -> int:
     """The message whose leaf mixture log sum_h exp(s_h) is highest, s_h =
     2^-shift scores[h, m]; an exact tie goes to the lowest index.
@@ -745,15 +711,17 @@ def _mixture_pick(scores: np.ndarray, shift: int) -> int:
     return pick
 
 
-def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray, p1) -> int:
+def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
+                         laws: np.ndarray | _BlockLaws) -> int:
     """Exact likelihood decoding against a candidate set of per-round laws.
 
     `codebook` is packed as `random_codebook` returns it: uint8 rows of
-    ceil(L/8) bytes, L the number of rounds in `p1`. An unpacked 0/1 codebook
-    is rejected, since its entries would be read as byte values.
-    p1[h, i, x] = P(y_i = 1 | x) under candidate schedule h, each with a
-    uniform prior; a run passes its cached `_block_laws(p1)` instead. On one
-    binary symmetric channel with crossover below 1/2 the ranking reduces to
+    ceil(L/8) bytes, L the number of rounds. An unpacked 0/1 codebook is
+    rejected, since its entries would be read as byte values. `laws` is the
+    candidate set, either as the array p1[h, i, x] = P(y_i = 1 | x) under
+    candidate schedule h, each with a uniform prior, or as its
+    `_block_laws(p1)`, which a run caches per data block. On one binary
+    symmetric channel with crossover below 1/2 the ranking reduces to
     Hamming distance.
 
     A leaf's score is an exact integer, the sum of the rounds' fixed-point
@@ -762,12 +730,12 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray, p1) -> int:
     popcount(codeword AND mask_c). Codewords with equal counts score equal,
     and no score depends on a BLAS kernel or a SIMD path. `_mixture_pick`
     mixes the leaves; an exact tie goes to the lowest message index. Each
-    class costs a pass over the codewords, so with many classes (a
-    `gaussian` leaf of many states) one 256-entry table per byte column sums
-    the same integers faster.
+    class costs a pass over the codewords, so a block whose rounds all have
+    their own law (a `gaussian` leaf of many states) takes one pass per round.
     """
-    laws = p1 if isinstance(p1, _BlockLaws) else _block_laws(p1)
-    length, n_leaves = laws.labels.size, laws.q.shape[1]
+    if not isinstance(laws, _BlockLaws):
+        laws = _block_laws(laws)
+    length = laws.labels.size
     if codebook.dtype != np.uint8 or codebook.ndim != 2 or codebook.shape[1] != (length + 7) // 8:
         raise ValueError(f"codebook must be packed uint8 rows of {(length + 7) // 8} bytes "
                          f"for {length} rounds, got {codebook.dtype} of shape {codebook.shape}")
@@ -777,13 +745,7 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray, p1) -> int:
     q = laws.q[present]
     base = (sizes[present, None] * q[:, :, 0]).sum(axis=0)
     steps = q[:, :, 1] - q[:, :, 0]
-    # a class costs about two passes over the codewords per word of its mask
-    # and one per leaf; a byte column about three plus one per leaf
-    n_words, row_bytes = -(-length // 64), codebook.shape[1]
-    if len(present) * (2 * n_words + n_leaves) < row_bytes * (n_leaves + 3):
-        scores = _count_scores(codebook, round_class == present[:, None], steps)
-    else:
-        scores = _table_scores(codebook, steps[np.searchsorted(present, round_class)])
+    scores = _count_scores(codebook, round_class == present[:, None], steps)
     scores += base[:, None]
     return _mixture_pick(scores, laws.shift)
 
