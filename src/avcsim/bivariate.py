@@ -298,7 +298,10 @@ def quadrant_distribution(biv: BivariateGaussian) -> BinaryJointDist:
 
 def binarized_correlation(q: BinaryJointDist) -> float:
     """Pearson correlation of the two bits; a one-row call of binarized_correlation_array."""
-    return float(binarized_correlation_array(q.as_array()[None])[0])
+    value = float(binarized_correlation_array(q.as_array()[None])[0])
+    if math.isnan(value):
+        raise ValueError("binarized correlation undefined for a deterministic bit")
+    return value
 
 
 def arcsine_law(rho: float) -> float:
@@ -310,7 +313,10 @@ def arcsine_law(rho: float) -> float:
 
 def mutual_information_bits(q: BinaryJointDist) -> float:
     """Mutual information of the bit pair in bits; one row of mutual_information_bits_array."""
-    return float(mutual_information_bits_array(q.as_array()[None])[0])
+    value = float(mutual_information_bits_array(q.as_array()[None])[0])
+    if math.isnan(value):
+        raise ValueError("mutual information undefined: a positive cell has marginal product 0")
+    return value
 
 
 def _marginals_array(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,13 +327,13 @@ def _marginals_array(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def binarized_correlation_array(q: np.ndarray) -> np.ndarray:
     """Pearson correlation of the two bits of each of (N, 2, 2) laws.
 
-    Raises ValueError when any row has a deterministic bit (or is NaN).
+    NaN in a row with a deterministic bit, where the correlation is undefined.
     """
     pu, pv = _marginals_array(q)
     var_u, var_v = pu * (1.0 - pu), pv * (1.0 - pv)
-    if not np.all((var_u > 0.0) & (var_v > 0.0)):
-        raise ValueError("binarized correlation undefined for a deterministic bit")
-    return (q[:, 1, 1] - pu * pv) / np.sqrt(var_u * var_v)
+    defined = (var_u > 0.0) & (var_v > 0.0)
+    spread = np.sqrt(np.where(defined, var_u * var_v, 1.0))
+    return np.where(defined, (q[:, 1, 1] - pu * pv) / spread, np.nan)
 
 
 def mutual_information_bits_array(q: np.ndarray) -> np.ndarray:
@@ -335,21 +341,21 @@ def mutual_information_bits_array(q: np.ndarray) -> np.ndarray:
 
     Zero-probability cells are skipped, and the cells are added in the order
     00, 01, 10, 11. The logarithms are math.log2's, which numpy's vectorised
-    log2 need not match in the last bit. A positive cell whose marginal
-    product rounds to 0 (a marginal of 1 - 1e-24, say) raises ValueError.
+    log2 need not match in the last bit. A row is NaN where a positive cell's
+    marginal product rounds to 0 or below (a marginal of 1 - 1e-24 or 1 + 1e-10).
     """
     pu, pv = _marginals_array(q)
     cells = q.reshape(-1, 4)
     marg = np.stack([(1.0 - pu) * (1.0 - pv), (1.0 - pu) * pv, pu * (1.0 - pv), pu * pv],
                     axis=-1)
     live = cells > 0.0
-    if np.any(live & (marg == 0.0)):
-        raise ValueError("mutual information undefined: a positive cell has marginal product 0")
-    ratio = np.divide(cells, marg, out=np.ones_like(cells), where=live)
+    undefined = live & (marg <= 0.0)
+    ratio = np.divide(cells, marg, out=np.ones_like(cells), where=live & ~undefined)
     terms = np.where(live, cells * _math_map(math.log2, ratio), 0.0)
     # skipped cells add +0.0, which leaves the running sum unchanged: it starts
     # at +0.0 and so is never -0.0
     total = np.zeros(len(cells))
     for k in range(4):
         total += terms[:, k]
+    total[undefined.any(axis=1)] = np.nan
     return total

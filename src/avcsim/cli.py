@@ -9,7 +9,6 @@ verdicts (NOT SYMMETRIZABLE), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -27,13 +26,7 @@ from .channels import (
     symmetrization_residual,
 )
 from .geometry import EnergyBudget, sweep_records, sweep_to_csv
-from .protocol import SimConfig, simulate
-
-ENV_OUT_DIR = "AVCSIM_OUT_DIR"
-
-
-def _out_dir(explicit: str | None) -> str:
-    return explicit or os.environ.get(ENV_OUT_DIR, ".")
+from .protocol import SimConfig, simulate, trials_to_csv
 
 
 def _dump_json(path: str, data: dict) -> None:
@@ -87,6 +80,11 @@ def cmd_params(args) -> int:
 
 def cmd_sweep(args) -> int:
     r = math.asinh(args.alpha) if args.r is None else args.r
+    out_dir = os.path.dirname(args.out) or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc, out_dir)
     started = time.time()
     try:
         records = sweep_records(EnergyBudget(args.alpha * args.alpha), r, args.eta,
@@ -94,18 +92,16 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"bad sweep input: {exc}", file=sys.stderr)
         return 2
-    out_dir = _out_dir(None)
-    out_path = args.out or os.path.join(out_dir, "sweep.csv")
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             sweep_to_csv(records, fh)
         manifest = _write_manifest(
-            os.path.dirname(out_path) or ".", "sweep",
+            out_dir, "sweep",
             {"alpha": args.alpha, "r": r, "eta": args.eta, "resolution": args.resolution},
-            None, [os.path.basename(out_path)], started)
+            None, [os.path.basename(args.out)], started)
     except OSError as exc:
-        return _cannot_write(exc, out_path)
-    print(f"wrote {len(records)} rows to {out_path} (manifest {manifest})")
+        return _cannot_write(exc, args.out)
+    print(f"wrote {len(records)} rows to {args.out} (manifest {manifest})")
     return 0
 
 
@@ -144,32 +140,23 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    out_dir = _out_dir(args.out)
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        return _cannot_write(exc, out_dir)
+        return _cannot_write(exc, args.out)
     started = time.time()
     report = simulate(config, workers=args.workers)
-    report_path = os.path.join(out_dir, "report.json")
+    report_path = os.path.join(args.out, "report.json")
     payload = report.to_json_dict()
     payload["manifest"] = "manifest.json"
     try:
         _dump_json(report_path, payload)
-        with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "trial", "message_ok", "bit_errors",
-                             "message_bits", "seed_ok", "parity_ok", "t_hat"])
-            for row in report.per_trial:
-                writer.writerow([row["strategy"], row["trial"], int(row["message_ok"]),
-                                 row["bit_errors"], row["message_bits"],
-                                 int(row["seed_ok"]), int(row["parity_ok"]),
-                                 repr(row["t_hat"])])
-        _write_manifest(out_dir, "simulate", config.to_json_dict(), config.master_seed,
+        with open(os.path.join(args.out, "trials.csv"), "w", encoding="utf-8", newline="") as fh:
+            trials_to_csv(report.per_trial, fh)
+        _write_manifest(args.out, "simulate", config.to_json_dict(), config.master_seed,
                         ["report.json", "trials.csv"], started)
     except OSError as exc:
-        return _cannot_write(exc, out_dir)
+        return _cannot_write(exc, args.out)
     print(f"worst-case error {report.worst_error!r} over "
           f"{config.trials} trials; report at {report_path}")
     return 0
@@ -193,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="squeezing (default arcsinh(alpha))")
     p_sweep.add_argument("--eta", type=float, default=0.5)
     p_sweep.add_argument("--resolution", type=int, default=64)
-    p_sweep.add_argument("--out", default=None, help="CSV path (default sweep.csv)")
+    p_sweep.add_argument("--out", default="sweep.csv",
+                         help="CSV path; its directory is created (default sweep.csv)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sym = sub.add_parser("symmetrize", help="decide symmetrizability of a channel table")
@@ -205,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_sim.add_argument("--trials", type=int, default=None, help="override trials")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out", default=None,
-                       help=f"output directory (default ${ENV_OUT_DIR} or .)")
+    p_sim.add_argument("--out", default=".", help="output directory, created if missing")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -216,8 +203,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "alpha", None) is not None and not 0 < args.alpha < math.inf:
         parser.error("--alpha must be positive and finite")
-    if getattr(args, "resolution", None) is not None and args.resolution < 2:
-        parser.error("--resolution must be at least 2")
     return args.func(args)
 
 

@@ -250,7 +250,7 @@ class SweepColumns:
     clamping at 0; lambda_c, lambda_0 and lambda_1 are the barycentric
     coordinates of the law before that clamping. rho is the x-x correlation
     of the mixed state, rho_bin and mi_bits the binarized correlation and the
-    mutual information of q.
+    mutual information of q, NaN in a row where that statistic is undefined.
     """
 
     A: np.ndarray
@@ -387,9 +387,11 @@ def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> floa
     keeps every swept point in the shrunken triangle (no search); the
     resolution doubles from 16 until the answer moves by less than 1e-4, or
     reaches 512. The value returned is that grid's margin: a minimum over a
-    subset of the jammer region, so an upper bound on the continuous margin
-    (at alpha = 1 a dense scan of the energy boundary is lower by 1.5e-5). The margin is positive for r > 0 and, at fixed r, shrinks as
-    the jammer budget grows: a larger budget only adds jammer states. With
+    subset of the jammer region, so an upper bound on the continuous margin.
+    At alpha = 1 a dense scan of the energy boundary is lower by 1.5e-5.
+
+    The margin is positive for r > 0. At fixed r it shrinks as the jammer
+    budget grows, since a larger budget only adds jammer states. With
     r = default_squeezing(budget) the sender's squeezing grows with alpha too,
     and the margin is unimodal in alpha: 0.1888, 0.2970, 0.2960, 0.2005 at
     alpha = 0.25, 0.5, 1, 2.
@@ -418,17 +420,15 @@ CSV_COLUMNS = (
 
 
 def sweep_to_csv(records: SweepColumns, fh: TextIO) -> None:
-    """Write the sweep as CSV with the documented column set, one row per state.
+    """Write the sweep as CSV, one row per state, in the columns CSV_COLUMNS.
 
     The bytes are csv.writer's: "\r\n" line ends, and no field is quoted,
     since a float's repr holds no comma, quote or line break. Rows are
     formatted and written _CSV_ROWS at a time, so the text held in memory
     stays small however large the sweep is.
     """
-    q = records.q
-    columns = (records.A, records.a, q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1],
-               records.lambda_c, records.lambda_0, records.lambda_1,
-               records.rho, records.rho_bin, records.mi_bits)
+    columns = [records.q[:, int(name[1]), int(name[2])] if name[0] == "q"
+               else getattr(records, name) for name in CSV_COLUMNS]
     fh.write(",".join(CSV_COLUMNS) + "\r\n")
     for lo in range(0, len(records), _CSV_ROWS):
         fields = [map(repr, col[lo:lo + _CSV_ROWS].tolist()) for col in columns]

@@ -13,11 +13,13 @@ from avcsim.bivariate import (
     BivariateGaussian,
     arcsine_law,
     binarized_correlation,
+    binarized_correlation_array,
     bivariate_normal_cdf,
     bivariate_normal_pdf,
     correlation_coefficient,
     homodyne_xx,
     mutual_information_bits,
+    mutual_information_bits_array,
     quadrant_distribution,
     quadrant_laws,
     std_normal_cdf,
@@ -386,6 +388,27 @@ def test_scalar_correlation_and_information_match_python_float_references():
         else:
             assert binarized_correlation(q) == expected
     assert 0 < undefined < 50
+
+
+def test_array_statistics_are_nan_only_in_undefined_rows():
+    rows = np.array([
+        [[0.25, 0.25], [0.25, 0.25]],
+        [[0.5, 0.0], [0.5, 0.0]],  # v is always 0: no correlation, no information
+        [[1e-24, 0.5], [0.0, 0.5 - 1e-24]],  # v's marginal rounds to 1; 00 > 0
+        [[0.5, 0.0], [0.0, 0.5]],
+        [[1e-10, 0.0], [0.5, 0.5 + 1e-10]],  # u's marginal is past 1; 00 > 0
+    ])
+    corr = binarized_correlation_array(rows)
+    info = mutual_information_bits_array(rows)
+    assert np.isnan(corr).tolist() == [False, True, True, False, True]
+    assert np.isnan(info).tolist() == [False, False, True, False, True]
+    with pytest.raises(ValueError, match="marginal product 0"):
+        mutual_information_bits(BinaryJointDist(*rows[4].ravel()))
+    for i in (0, 3):
+        law = BinaryJointDist(*rows[i].ravel())
+        assert corr[i] == binarized_correlation(law)
+        assert info[i] == mutual_information_bits(law)
+    assert info[1] == 0.0
 
 
 def test_binarized_correlation_limits():

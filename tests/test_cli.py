@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -12,9 +13,12 @@ import pytest
 
 import avcsim
 import avcsim.cli as cli
+from avcsim.bivariate import BinaryJointDist
 from avcsim.channels import avc_kernel, bsc_table, crossover_probs
 from avcsim.cli import main
-from avcsim.protocol import SimConfig, canonical_schedules
+from avcsim.protocol import SimConfig, canonical_schedules, simulate
+
+from oracles import binarized_correlation_reference, mutual_information_bits_reference
 
 
 def _sim_config_file(tmp_path, **overrides):
@@ -40,14 +44,15 @@ def test_params_rejects_nonpositive_alpha(capsys):
 
 
 def test_sweep_writes_csv_and_manifest(tmp_path, capsys):
-    out_csv = tmp_path / "sweep.csv"
+    # --out's directory is created, and manifest.json goes beside the CSV
+    out_csv = tmp_path / "new" / "deeper" / "s.csv"
     assert main(["sweep", "--alpha", "1.0", "--resolution", "8",
                  "--out", str(out_csv)]) == 0
     header = out_csv.read_text().splitlines()[0]
     assert header.split(",")[:4] == ["A", "a", "q00", "q01"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((out_csv.parent / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
-    assert manifest["outputs"] == ["sweep.csv"]
+    assert manifest["outputs"] == ["s.csv"]
     assert manifest["config"]["resolution"] == 8
 
 
@@ -274,6 +279,74 @@ def test_sweep_unwritable_manifest_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out / 'manifest.json'}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_sweep_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sweep_records", lambda *args: calls.append(args))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["sweep", "--alpha", "1.0", "--resolution", "8",
+                 "--out", str(afile / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {afile}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert len(calls) == 0
+
+
+def test_sweep_resolution_below_2_exits_2(tmp_path, capsys):
+    out_csv = tmp_path / "s.csv"
+    assert main(["sweep", "--alpha", "1.0", "--resolution", "1", "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "resolution must be at least 2" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out_csv.exists()
+
+
+def test_sweep_writes_nan_where_a_bit_statistic_is_undefined(tmp_path, capsys):
+    # without sender light the receiver bit follows the jammer's displacement:
+    # at the grid's edge one bit's variance rounds to 0, and in some of those
+    # rows a positive cell's marginal product does too
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "2", "--eta", "0", "--resolution", "200",
+                 "--out", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 39606
+    undefined = {"rho_bin": 0, "mi_bits": 0}
+    statistics = [("rho_bin", binarized_correlation_reference, ValueError),
+                  ("mi_bits", mutual_information_bits_reference, ZeroDivisionError)]
+    for row in rows:
+        law = BinaryJointDist(*(float(row[k]) for k in ("q00", "q01", "q10", "q11")))
+        for column, reference, undefined_error in statistics:
+            try:
+                expected = repr(reference(law))
+            except undefined_error:
+                expected = "nan"
+                undefined[column] += 1
+            assert row[column] == expected, (column, row)
+    assert undefined == {"rho_bin": 11, "mi_bits": 6}
+
+
+def test_trials_csv_rows_are_the_reports_trial_records(tmp_path, capsys):
+    cfg_path = _sim_config_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    # report.json sorts its keys, so the column order comes from the record
+    keys = list(simulate(SimConfig.from_json_dict(json.loads(cfg_path.read_text())))
+                .per_trial[0])
+    records = json.loads((out / "report.json").read_text())["per_trial"]
+    with open(out / "trials.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == keys
+    assert len(rows) == 1 + len(records) == 1 + 4 * 2
+    assert sorted(records[0]) == sorted(keys)
+    for row, record in zip(rows[1:], records):
+        assert row == [str(int(record[k])) if isinstance(record[k], bool)
+                       else repr(record[k]) if isinstance(record[k], float)
+                       else str(record[k]) for k in keys]
+    assert {row[keys.index("message_ok")] for row in rows[1:]} <= {"0", "1"}
 
 
 def test_module_entry_point_runs():
