@@ -601,27 +601,44 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     }
 
 
-def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx: int,
-                    trial: int, seed_bits: np.ndarray, block: int) -> np.ndarray:
-    """Random binary codebook selected by the shared seed bits (and public context).
+def _codebook_rows(start: int, stop: int, length: int, master_seed: int, strategy_idx: int,
+                   trial: int, seed_bits: np.ndarray, block: int) -> np.ndarray:
+    """Rows [start, stop) of the `random_codebook` with these arguments.
 
-    Returns the codebook packed as uint8 of shape (n_messages, ceil(length / 8)):
+    The rows are packed as uint8 of shape (stop - start, ceil(length / 8)):
     bit i of a codeword is bit i % 8 (least significant first) of its byte
     i // 8, and the padding bits of the last byte are zero. The bytes are the
     little-endian bytes of `Philox.random_raw`, row after row, each row
     starting on a byte boundary; so one stream bit serves each codeword bit,
-    and a row needs ceil(length / 8) stream bytes. The `_philox` key has the
-    codebook tag, and as hi the master seed mixed with seed value and block.
+    and a row needs ceil(length / 8) stream bytes. Each Philox counter step
+    yields 4 words (32 bytes), so the draw skips the whole steps before row
+    `start` with `advance`. The `_philox` key has the codebook tag, and as
+    hi the master seed mixed with seed value and block.
     """
     seed_int = _bits_to_int(seed_bits)
     hi = master_seed ^ (seed_int * 0x9E3779B97F4A7C15) ^ (block << 1)
     row_bytes = (length + 7) // 8
-    n_bytes = n_messages * row_bytes
-    raw = _philox(hi, strategy_idx, trial, _TAG_CODEBOOK).random_raw((n_bytes + 7) // 8)
-    packed = raw.astype("<u8", copy=False).view(np.uint8)[:n_bytes].reshape(n_messages, row_bytes)
+    skip, first = divmod(start * row_bytes, 32)
+    n_bytes = (stop - start) * row_bytes
+    bitgen = _philox(hi, strategy_idx, trial, _TAG_CODEBOOK)
+    bitgen.advance(skip)
+    raw = bitgen.random_raw((first + n_bytes + 7) // 8)
+    packed = raw.astype("<u8", copy=False).view(np.uint8)[first : first + n_bytes]
+    packed = packed.reshape(stop - start, row_bytes)
     if length % 8:
         packed[:, -1] &= (1 << (length % 8)) - 1
     return packed
+
+
+def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx: int,
+                    trial: int, seed_bits: np.ndarray, block: int) -> np.ndarray:
+    """Random binary codebook selected by the shared seed bits (and public context).
+
+    Returns the codebook packed as uint8 of shape (n_messages, ceil(length / 8)),
+    in the layout `_codebook_rows` states.
+    """
+    return _codebook_rows(0, n_messages, length, master_seed, strategy_idx, trial,
+                          seed_bits, block)
 
 
 # --- schedule-set decoding ---------------------------------------------------
@@ -635,8 +652,12 @@ class _BlockLaws(NamedTuple):
     under law g and leaf h, rounded to an integer; the logarithms are
     `math.log` and `math.log1p` of p1 clipped to [1e-300, 1 - 1e-16]. shift
     is the largest exponent that keeps the block's summed largest |log P|
-    below 2^52 once scaled. So every score is an exact int64 sum, in any
-    order, and below 2^53 in magnitude, which float64 holds exactly.
+    below 2^52 once scaled; rounding adds at most 1/2 a round, so the rounds'
+    summed largest |q| stays below 2^52 + L/2. Both log-likelihoods of a
+    round are <= 0, so a step q[., h, 1] - q[., h, 0] is at most the larger
+    |q| of its law in magnitude. So every score, and every partial sum of
+    its terms in any order, is an integer below 2^53 in magnitude, which
+    float64 holds exactly (`_count_scores` relies on this).
     """
 
     labels: np.ndarray
@@ -661,7 +682,17 @@ def _block_laws(p1: np.ndarray) -> _BlockLaws:
 
 def _count_scores(codebook: np.ndarray, classes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """scores[h, m] = sum_c n_c steps[c, h], n_c the set bits of codeword m
-    in class c (a row of the boolean `classes`), counted per uint64 word."""
+    in class c (a row of the boolean `classes`), counted per uint64 word.
+
+    The counts are kept in the narrowest unsigned type that holds the block
+    length, and the sum is one float64 product, which is exact. Both
+    log-likelihoods of a round are <= 0, so |steps[c, h]| <= max(|q0|, |q1|)
+    of its law, and `_BlockLaws` keeps the rounds' summed largest |q| below
+    2^52 plus at most L/2 from rounding. So every product n_c steps[c, h],
+    and every partial sum of them in any order, is an integer below 2^53,
+    which float64 holds exactly: no BLAS kernel, blocking, thread split or
+    fused multiply-add can round one, and the scores are the int64 sums.
+    """
     n_messages, row_bytes = codebook.shape
     n_words = -(-row_bytes // 8)
     # words[w, m] is bytes 8w to 8w + 7 of row m. A row's last word runs on
@@ -674,18 +705,13 @@ def _count_scores(codebook: np.ndarray, classes: np.ndarray, steps: np.ndarray) 
     masks = np.zeros((len(classes), 8 * n_words), dtype=np.uint8)
     masks[:, :row_bytes] = np.packbits(classes, axis=1, bitorder="little")
     masks = masks.view("<u8")
-    scores = np.zeros((steps.shape[1], n_messages), dtype=np.int64)
-    term = np.empty_like(scores)
+    counts = np.zeros((len(classes), n_messages), dtype=np.min_scalar_type(classes.shape[1]))
     word = np.empty(n_messages, dtype=np.uint64)
-    count = np.empty(n_messages, dtype=np.int64)
-    for mask, step in zip(masks, steps):
-        count[:] = 0
+    for mask, count in zip(masks, counts):
         for w in np.flatnonzero(mask):
             np.bitwise_and(words[w], mask[w], out=word)
             count += np.bitwise_count(word)
-        np.multiply(step[:, None], count, out=term)
-        scores += term
-    return scores
+    return (steps.T.astype(float) @ counts).astype(np.int64)
 
 
 def _mixture_pick(scores: np.ndarray, shift: int) -> int:
@@ -725,8 +751,10 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     A leaf's score is an exact integer, the sum of the rounds' fixed-point
     log-likelihoods (`_BlockLaws`): base_h + sum_c n_c d_{h,c} over the
     classes c (the rounds of one law that received one bit), with n_c =
-    popcount(codeword AND mask_c). Codewords with equal counts score equal,
-    and no score depends on a BLAS kernel or a SIMD path. `_mixture_pick`
+    popcount(codeword AND mask_c). Codewords with equal counts score equal.
+    The sum over classes is a BLAS product, but of integers that float64
+    holds exactly (`_count_scores`), so no score or pick depends on the BLAS
+    kernel, its thread count or a SIMD path. `_mixture_pick`
     mixes the leaves; an exact tie goes to the lowest message index. Each
     class costs a pass over the codewords, so a block whose rounds all have
     their own law (a `gaussian` leaf of many states) takes one pass per round.
@@ -754,9 +782,10 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Send message_bits raw (no XOR layer) in seed-keyed random sub-blocks.
 
-    The sender and receiver build their codebooks from their own seed copies
-    (equal copies select the same codebook, so it is drawn once), and the
-    sender unpacks only the row it sends; a seed mismatch yields
+    The sender and receiver build their codebooks from their own seed copies:
+    the receiver draws the whole codebook, and the sender draws only the row
+    it sends (which it reads from the receiver's draw when the copies are
+    equal, since they then select the same codebook). A seed mismatch yields
     independently wrong codebooks and hence garbage decoding, which is the
     honest failure mode. Decoding is exact likelihood against the candidate
     schedule set, which the receiver knows from the config; the realised
@@ -769,22 +798,22 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     laws = _data_block_laws(config)
     # the codebook key depends only on the seed value, so equal copies share one draw
     shared = np.array_equal(sender_seed, receiver_seed)
+    key = (config.master_seed, strategy_idx, trial)
     decoded = np.zeros_like(message_bits)
     pos_rounds = 0
     pos_bits = 0
     for block, (length, bits) in enumerate(plan):
         m = _bits_to_int(message_bits[pos_bits : pos_bits + bits])
-        cb_send = random_codebook(1 << bits, length, config.master_seed, strategy_idx,
-                                  trial, sender_seed, block)
-        x = np.unpackbits(cb_send[m], count=length, bitorder="little").astype(np.int64)
+        cb_recv = random_codebook(1 << bits, length, *key, receiver_seed, block)
+        row = cb_recv[m] if shared else _codebook_rows(m, m + 1, length, *key, sender_seed,
+                                                       block)[0]
+        x = np.unpackbits(row, count=length, bitorder="little").astype(np.int64)
         y = _bpsk_outputs(
             x,
             big_a[pos_rounds : pos_rounds + length],
             disp[pos_rounds : pos_rounds + length],
             config.alpha, config.eta, rng,
         )
-        cb_recv = cb_send if shared else random_codebook(
-            1 << bits, length, config.master_seed, strategy_idx, trial, receiver_seed, block)
         m_hat = schedule_set_decoder(cb_recv, y, laws[block])
         decoded[pos_bits : pos_bits + bits] = [(m_hat >> j) & 1 for j in range(bits - 1, -1, -1)]
         pos_rounds += length

@@ -495,6 +495,13 @@ def test_simulate_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
     assert _thermal_run_artifacts(tmp_path, "prescott", {"OPENBLAS_CORETYPE": "Prescott"}) == default
 
 
+def test_simulate_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the decoder sums its class counts with a BLAS product on every block; a
+    # thread split changes the summation order, which exact integers survive
+    one = _thermal_run_artifacts(tmp_path, "one-thread", {"OPENBLAS_NUM_THREADS": "1"})
+    assert _thermal_run_artifacts(tmp_path, "two-threads", {"OPENBLAS_NUM_THREADS": "2"}) == one
+
+
 def _simd_features_found() -> list:
     """The SIMD targets numpy dispatches to on this CPU (beyond its baseline)."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__

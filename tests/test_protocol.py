@@ -501,6 +501,25 @@ def test_random_codebook_equals_the_integers_draw(shape):
         assert np.array_equal(got, _pack(random_codebook_reference(*shape, *key)))
 
 
+@pytest.mark.parametrize("shape", CODEBOOK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_a_single_row_draw_equals_the_codebooks_row(shape):
+    """The sender's one-row draw skips whole 32-byte Philox steps and lands
+    on the codebook's row: the first, the last, and one that crosses a step."""
+    rows, length = shape
+    row_bytes = (length + 7) // 8
+    crossing = [m for m in range(rows)
+                if (m * row_bytes) // 32 != (m * row_bytes + row_bytes - 1) // 32]
+    picks = {0, rows - 1, *crossing[:1]}
+    if rows * row_bytes > 32:
+        assert crossing  # every shape that spans two steps has a crossing row
+    for key in CODEBOOK_KEYS:
+        book = random_codebook(*shape, *key)
+        for m in picks:
+            row = protocol._codebook_rows(m, m + 1, length, *key)
+            assert row.dtype == np.uint8 and row.shape == (1, row_bytes)
+            assert np.array_equal(row[0], book[m])
+
+
 # the test keeps the name it had when the reference was the int64 product
 def test_schedule_set_decoder_matches_the_int64_reference():
     """Picks equal the round-by-round oracle's, and each is the lowest index
@@ -561,6 +580,42 @@ def test_count_scores_equal_the_round_by_round_integer_sum():
             per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
             exact = (bits.astype(object) @ per_round.astype(object)).T
             assert np.array_equal(counted, exact.astype(np.int64))
+
+
+@pytest.mark.parametrize("length", [255, 256, 300, 65537])
+def test_count_scores_stay_exact_at_the_float64_edge(length):
+    """Laws at the clip bounds make the scores as large as `_BlockLaws`
+    allows (at least 2^51, below 2^53), and the class counts reach the block
+    length, so the float64 product and the count type (uint8, uint16, then
+    uint32) are both pushed to their edge; the scores still equal the
+    Python-int sums."""
+    rng = np.random.default_rng(length)
+    low, high = 1e-300, 1.0 - 1e-16
+    # leaf 0 reads y = 1 as strong evidence for x = 1 and leaf 1 for x = 0;
+    # leaf 2 has laws beyond the clip bounds, which clip onto them
+    edge = np.array([[low, high], [high, low], [0.0, 1.0]])
+    for y_kind in ("ones", "mixed"):
+        p1 = np.repeat(edge[:, None, :], length, axis=1)
+        if y_kind == "mixed":
+            # a second law on a few rounds, so there are several classes
+            p1[:, rng.integers(0, length, 5)] = edge[:, None, ::-1]
+        y = np.ones(length, dtype=np.int64) if y_kind == "ones" else rng.integers(0, 2, length)
+        bits = np.vstack([np.ones(length, dtype=np.int64), np.zeros(length, dtype=np.int64),
+                          rng.integers(0, 2, (2, length))])
+        laws = _block_laws(p1)
+        round_class = 2 * laws.labels + y
+        present = np.unique(round_class)
+        steps = laws.q[present, :, 1] - laws.q[present, :, 0]
+        counted = _count_scores(_pack(bits), round_class == present[:, None], steps)
+        per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
+        exact = (bits.astype(object) @ per_round.astype(object)).T
+        assert np.array_equal(counted, exact.astype(np.int64))
+        assert not counted[:, 1].any()  # the all-zeros row
+        largest = int(np.abs(counted).max())
+        if y_kind == "ones":
+            assert 2**51 <= largest < 2**53
+        else:
+            assert largest < 2**53
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -935,15 +990,22 @@ def test_common_randomness_draws_one_codebook_per_block(monkeypatch, trials):
     assert len(calls) == 4 * trials * blocks
 
 
+# the test keeps the name it had when the sender drew its whole codebook too
 def test_mismatched_seed_copies_draw_two_codebooks(monkeypatch):
+    """The receiver draws its codebook; the sender draws its own row only
+    when the seed copies differ."""
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     source="thermal", master_seed=33, trials=3, cr_seed_bits=3)
     calls = _counting(monkeypatch, "random_codebook")
+    ranges = _counting(monkeypatch, "_codebook_rows")
     rep = simulate(cfg)
     blocks = len(_block_plan(cfg))
     mismatched = sum(not row["seed_ok"] for row in rep.per_trial)
     assert mismatched > 0  # the thermal source carries no correlation
-    assert len(calls) == blocks * (len(rep.per_trial) + mismatched)
+    assert len(calls) == blocks * len(rep.per_trial)
+    single_rows = [args for args in ranges if args[1] - args[0] == 1]
+    assert len(single_rows) == blocks * mismatched
+    assert len(ranges) == blocks * (len(rep.per_trial) + mismatched)
 
 
 def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
