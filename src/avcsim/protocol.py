@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bivariate import (
     RHO_LIMIT,
@@ -378,10 +379,31 @@ class SimReport:
 # --- channel sampling -------------------------------------------------------
 
 
+class _Key(ISeedSequence):
+    """A Philox key handed over as the generator's seed state.
+
+    `Philox(_Key(key))` is `Philox(key=key)`, the same stream, but without
+    the `SeedSequence()` that `Philox(key=...)` first builds from 128 bits
+    of OS entropy and then discards: Philox asks its seed state for two
+    uint64 words and gets the key.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.key
+
+
 def _philox(hi: int, strategy_idx: int, trial: int, tag: int) -> np.random.Philox:
-    """Philox on the key (hi, strategy << 48 | trial << 16 | tag)."""
+    """Philox on the key (hi, strategy << 48 | trial << 16 | tag), built from
+    the key alone (`_Key`)."""
     lo = ((strategy_idx & 0xFFFF) << 48) | ((trial & 0xFFFFFFFF) << 16) | (tag & 0xFFFF)
-    return np.random.Philox(key=np.array([lo, hi & _MASK64], dtype=np.uint64))
+    return np.random.Philox(_Key(np.array([lo, hi & _MASK64], dtype=np.uint64)))
 
 
 def _rng(master_seed: int, strategy_idx: int, trial: int, tag: int) -> np.random.Generator:
@@ -390,7 +412,7 @@ def _rng(master_seed: int, strategy_idx: int, trial: int, tag: int) -> np.random
 
 def _bits_to_int(bits) -> int:
     """The integer whose binary digits, most significant first, are `bits`."""
-    return functools.reduce(lambda value, b: (value << 1) | int(b), bits, 0)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
 
 def _bpsk_law(big_a: np.ndarray, disp: np.ndarray, alpha: float,
@@ -644,11 +666,23 @@ def random_codebook(n_messages: int, length: int, master_seed: int, strategy_idx
 # --- schedule-set decoding ---------------------------------------------------
 
 
+def _words(bits: np.ndarray) -> np.ndarray:
+    """0/1 (or bool) entries along the last axis as uint64 words: entry i is
+    bit i % 64 of word i // 64, the layout in which `_count_scores` reads a
+    packed codeword, and the bits past the last entry are zero."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    n_bytes = packed.shape[-1]
+    padded = np.zeros(packed.shape[:-1] + (-(-n_bytes // 8) * 8,), dtype=np.uint8)
+    padded[..., :n_bytes] = packed
+    return padded.view("<u8")
+
+
 class _BlockLaws(NamedTuple):
     """A data block's rounds grouped by law, with fixed-point log-likelihoods.
 
     Rounds with equal p1[:, i, :] (one law under every candidate leaf) share
-    a law, and labels[i] is round i's. q[2 g + y, h, x] is 2^shift log P(y | x)
+    a law, and labels[i] is round i's; masks[g] holds law g's rounds as
+    `_words`. q[2 g + y, h, x] is 2^shift log P(y | x)
     under law g and leaf h, rounded to an integer; the logarithms are
     `math.log` and `math.log1p` of p1 clipped to [1e-300, 1 - 1e-16]. shift
     is the largest exponent that keeps the block's summed largest |log P|
@@ -661,6 +695,7 @@ class _BlockLaws(NamedTuple):
     """
 
     labels: np.ndarray
+    masks: np.ndarray
     q: np.ndarray
     shift: int
 
@@ -671,59 +706,71 @@ def _block_laws(p1: np.ndarray) -> _BlockLaws:
     rows = np.clip(p1, 1e-300, 1.0 - 1e-16).transpose(1, 0, 2).reshape(length, 2 * n_leaves)
     laws, labels = np.unique(rows, axis=0, return_inverse=True)
     labels = labels.reshape(-1)
+    masks = _words(labels == np.arange(len(laws))[:, None])
     ll = np.stack([_math_map(math.log1p, -laws), _math_map(math.log, laws)], axis=1)
     # fsum is exact, so the bound (and the shift) is that of the rounds in any order
     bound = math.fsum(np.abs(ll).max(axis=(1, 2))[labels].tolist())
     shift = 52 - math.frexp(bound)[1]
     q = np.rint(np.ldexp(ll, shift)).astype(np.int64).reshape(2 * len(laws), n_leaves, 2)
-    labels.flags.writeable = q.flags.writeable = False
-    return _BlockLaws(labels, q, shift)
+    labels.flags.writeable = masks.flags.writeable = q.flags.writeable = False
+    return _BlockLaws(labels, masks, q, shift)
 
 
-def _count_scores(codebook: np.ndarray, classes: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """scores[h, m] = sum_c n_c steps[c, h], n_c the set bits of codeword m
-    in class c (a row of the boolean `classes`), counted per uint64 word.
+def _count_scores(codebook: np.ndarray, masks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """scores[h, m] = sum_c n_c steps[c, h] as float64, n_c the set bits of
+    codeword m in class c, popcount(word AND masks[c]) summed over the
+    codeword's uint64 words (`masks` rows are `_words`).
 
-    The counts are kept in the narrowest unsigned type that holds the block
-    length, and the sum is one float64 product, which is exact. Both
-    log-likelihoods of a round are <= 0, so |steps[c, h]| <= max(|q0|, |q1|)
-    of its law, and `_BlockLaws` keeps the rounds' summed largest |q| below
-    2^52 plus at most L/2 from rounding. So every product n_c steps[c, h],
-    and every partial sum of them in any order, is an integer below 2^53,
-    which float64 holds exactly: no BLAS kernel, blocking, thread split or
-    fused multiply-add can round one, and the scores are the int64 sums.
+    The counts are kept in the narrowest unsigned type that holds the masks'
+    set bits (the block length, when the classes split its rounds), and the
+    sum is one float64 product, which is exact. Both log-likelihoods of a
+    round are <= 0, so |steps[c, h]| <= max(|q0|, |q1|) of its law, and
+    `_BlockLaws` keeps the rounds' summed largest |q| below 2^52 plus at
+    most L/2 from rounding. So every product n_c steps[c, h], and every
+    partial sum of them in any order, is an integer below 2^53, which
+    float64 holds exactly: no BLAS kernel, blocking, thread split or fused
+    multiply-add can round one, and the scores are the integer sums.
     """
     n_messages, row_bytes = codebook.shape
-    n_words = -(-row_bytes // 8)
+    n_words = masks.shape[1]
+    flat = np.ascontiguousarray(codebook).reshape(-1)
     # words[w, m] is bytes 8w to 8w + 7 of row m. A row's last word runs on
-    # into the next row (the last row's into a zero tail), but those bits lie
-    # past the row's rounds, where no class mask has a bit.
-    stream = np.zeros(codebook.size + 8, dtype=np.uint8)
-    stream[: codebook.size] = codebook.reshape(-1)
-    words = np.ascontiguousarray(np.ndarray((n_words, n_messages), dtype="<u8", buffer=stream,
-                                            strides=(8, row_bytes)))
-    masks = np.zeros((len(classes), 8 * n_words), dtype=np.uint8)
-    masks[:, :row_bytes] = np.packbits(classes, axis=1, bitorder="little")
-    masks = masks.view("<u8")
-    counts = np.zeros((len(classes), n_messages), dtype=np.min_scalar_type(classes.shape[1]))
+    # into the next row, but those bits lie past the row's rounds, where no
+    # class mask has a bit; only the last rows' would run past the end, and
+    # they are read from a zero-padded copy.
+    spill = -(-(8 * n_words - row_bytes) // row_bytes)
+    head = max(0, n_messages - spill)
+    tail = np.zeros((n_messages - head) * row_bytes + 8, dtype=np.uint8)
+    tail[:-8] = flat[head * row_bytes:]
+    words = np.empty((n_words, n_messages), dtype="<u8")
+    words[:, :head] = np.ndarray((n_words, head), "<u8", flat, strides=(8, row_bytes))
+    words[:, head:] = np.ndarray((n_words, n_messages - head), "<u8", tail,
+                                 strides=(8, row_bytes))
+    counts = np.zeros((len(masks), n_messages),
+                      dtype=np.min_scalar_type(int(np.bitwise_count(masks).sum())))
     word = np.empty(n_messages, dtype=np.uint64)
-    for mask, count in zip(masks, counts):
-        for w in np.flatnonzero(mask):
-            np.bitwise_and(words[w], mask[w], out=word)
-            count += np.bitwise_count(word)
-    return (steps.T.astype(float) @ counts).astype(np.int64)
+    ones = np.empty(n_messages, dtype=np.uint8)
+    classes, at = np.nonzero(masks)
+    for c, w, mask in zip(classes.tolist(), at.tolist(), masks[classes, at]):
+        np.bitwise_and(words[w], mask, out=word)
+        count = counts[c]
+        np.add(count, np.bitwise_count(word, out=ones), out=count)
+    return steps.T.astype(float) @ counts
 
 
 def _mixture_pick(scores: np.ndarray, shift: int) -> int:
     """The message whose leaf mixture log sum_h exp(s_h) is highest, s_h =
     2^-shift scores[h, m]; an exact tie goes to the lowest index.
 
-    A mixture lies in [max_h s_h, max_h s_h + log H]. So only messages whose
-    best leaf is within log H of the overall best (plus two units, for the
-    rounding of the mixing) can win, and only they are mixed, with
-    `math.exp` and `math.fsum`.
+    The scores are integers below 2^53 in magnitude (float64 holds them
+    exactly). A mixture lies in [max_h s_h, max_h s_h + log H]. So only
+    messages whose best leaf is within log H of the overall best (plus two
+    units, for the rounding of the mixing) can win, and only they are mixed,
+    with `math.exp` and `math.fsum`. That threshold can pass 2^53 in
+    magnitude, so it is taken on the per-message maxima in int64, where it
+    stays exact.
     """
-    top = scores.max(axis=0)
+    top = scores.max(axis=0).astype(np.int64)
     window = math.ceil(math.ldexp(math.log(scores.shape[0]), shift)) + 2
     near = np.flatnonzero(top >= top.max() - window)
     pick, pick_value = -1, -math.inf
@@ -751,9 +798,11 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     A leaf's score is an exact integer, the sum of the rounds' fixed-point
     log-likelihoods (`_BlockLaws`): base_h + sum_c n_c d_{h,c} over the
     classes c (the rounds of one law that received one bit), with n_c =
-    popcount(codeword AND mask_c). Codewords with equal counts score equal.
-    The sum over classes is a BLAS product, but of integers that float64
-    holds exactly (`_count_scores`), so no score or pick depends on the BLAS
+    popcount(codeword AND mask_c). The class masks are the law's word masks
+    AND y or AND NOT y, with y packed into words once. Codewords with equal
+    counts score equal. The sum over classes is a BLAS product, but of
+    integers that float64 holds exactly (`_count_scores`), and so is the
+    score with its base added, so no score or pick depends on the BLAS
     kernel, its thread count or a SIMD path. `_mixture_pick`
     mixes the leaves; an exact tie goes to the lowest message index. Each
     class costs a pass over the codewords, so a block whose rounds all have
@@ -765,13 +814,20 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     if codebook.dtype != np.uint8 or codebook.ndim != 2 or codebook.shape[1] != (length + 7) // 8:
         raise ValueError(f"codebook must be packed uint8 rows of {(length + 7) // 8} bytes "
                          f"for {length} rounds, got {codebook.dtype} of shape {codebook.shape}")
-    round_class = 2 * laws.labels + (np.asarray(y) == 1)
-    sizes = np.bincount(round_class, minlength=len(laws.q))
+    y = np.asarray(y)
+    if y.shape != (length,):
+        raise ValueError(f"y must hold one output per round, {length}, got shape {y.shape}")
+    ones = _words(y == 1)
+    # class 2 g + b: the rounds of law g that received bit b
+    masks = np.empty((len(laws.masks), 2, ones.size), dtype=np.uint64)
+    np.bitwise_and(laws.masks, ones, out=masks[:, 1])
+    np.bitwise_xor(laws.masks, masks[:, 1], out=masks[:, 0])
+    masks = masks.reshape(len(laws.q), -1)
+    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
     present = np.flatnonzero(sizes)
     q = laws.q[present]
     base = (sizes[present, None] * q[:, :, 0]).sum(axis=0)
-    steps = q[:, :, 1] - q[:, :, 0]
-    scores = _count_scores(codebook, round_class == present[:, None], steps)
+    scores = _count_scores(codebook, masks[present], q[:, :, 1] - q[:, :, 0])
     scores += base[:, None]
     return _mixture_pick(scores, laws.shift)
 
@@ -815,7 +871,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
             config.alpha, config.eta, rng,
         )
         m_hat = schedule_set_decoder(cb_recv, y, laws[block])
-        decoded[pos_bits : pos_bits + bits] = [(m_hat >> j) & 1 for j in range(bits - 1, -1, -1)]
+        decoded[pos_bits : pos_bits + bits] = (m_hat >> np.arange(bits - 1, -1, -1)) & 1
         pos_rounds += length
         pos_bits += bits
     return decoded

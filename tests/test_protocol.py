@@ -43,6 +43,7 @@ from avcsim.protocol import (
     _rng,
     _vote_model,
     _vote_tables,
+    _words,
 )
 
 from oracles import (
@@ -520,6 +521,82 @@ def test_a_single_row_draw_equals_the_codebooks_row(shape):
             assert np.array_equal(row[0], book[m])
 
 
+# every phase tag, then keys at the edges of the layout: the widest strategy
+# and trial fields and a hi word of all ones, given as a negative master seed
+STREAM_KEYS = [(20260813, 3, 24, tag) for tag in sorted(
+    v for k, v in vars(protocol).items() if k.startswith("_TAG_"))] + [
+    (0, 0xFFFF, 2**32 - 1, protocol._TAG_CODEBOOK),
+    ((1 << 64) - 1, 0xFFFF, 2**32 - 1, 0xFFFF),
+    (-1, 0, 0, protocol._TAG_PHASE1),
+    (-(2**63), 7, 1, protocol._TAG_MESSAGE),
+]
+
+
+@pytest.mark.parametrize("key", STREAM_KEYS, ids=str)
+def test_key_only_streams_equal_philox_from_its_key(key, monkeypatch):
+    """`_philox` is `np.random.Philox(key=...)` on the documented key, draw
+    for draw, and builds it without reading OS entropy."""
+    hi, strategy_idx, trial, tag = key
+    lo = (strategy_idx << 48) | (trial << 16) | tag
+    expected = np.array([lo, hi % 2**64], dtype=np.uint64)
+
+    def reference():
+        return np.random.Philox(key=expected)
+
+    def no_entropy(bits):
+        raise AssertionError("OS entropy was read")
+
+    # SeedSequence() takes its entropy from this name; with it patched, the
+    # reference constructor fails and the key-only one must not
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="entropy"):
+        reference()
+    got = protocol._philox(hi, strategy_idx, trial, tag)
+    monkeypatch.undo()
+    want = reference()
+    assert np.array_equal(got.state["state"]["key"], expected)
+    got.advance(3)
+    want.advance(3)
+    assert np.array_equal(got.random_raw(9), want.random_raw(9))
+    got, want = (np.random.Generator(protocol._philox(hi, strategy_idx, trial, tag)),
+                 np.random.Generator(reference()))
+    assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+    assert np.array_equal(got.integers(0, 2, 13), want.integers(0, 2, 13))
+    assert np.array_equal(got.integers(0, 2**40, 5), want.integers(0, 2**40, 5))
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 130])
+def test_bits_to_int_reads_the_bits_most_significant_first(width):
+    bits = np.random.default_rng(width).integers(0, 2, width)
+    value = 0
+    for b in bits.tolist():
+        value = (value << 1) | b
+    assert protocol._bits_to_int(bits) == value
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130, 136])
+def test_schedule_set_decoder_reads_the_last_rows_words(length):
+    """A row's last uint64 word runs past the codebook's end for its last few
+    rows (up to 7 of them), which are read from a padded copy; the picks equal
+    the round-by-round oracle's, also when the received word is a last row."""
+    rng = np.random.default_rng(length)
+    for rows in (1, 2, 3, 8, 64):
+        p1 = rng.uniform(0.02, 0.98, (2, length, 2))
+        bits = rng.integers(0, 2, (rows, length))
+        for y in (rng.integers(0, 2, length), bits[-1], bits[max(0, rows - 3)]):
+            pick = schedule_set_decoder(_pack(bits), y, p1)
+            assert pick == schedule_set_decoder_reference(bits, y, p1)
+
+
+def test_schedule_set_decoder_wants_one_output_per_round():
+    p1 = np.full((1, 9, 2), 0.3)
+    codebook = _pack(np.zeros((4, 9), dtype=np.int64))
+    for y in (np.zeros(8, dtype=np.int64), np.zeros(10, dtype=np.int64),
+              np.zeros((1, 9), dtype=np.int64)):
+        with pytest.raises(ValueError, match="one output per round"):
+            schedule_set_decoder(codebook, y, p1)
+
+
 # the test keeps the name it had when the reference was the int64 product
 def test_schedule_set_decoder_matches_the_int64_reference():
     """Picks equal the round-by-round oracle's, and each is the lowest index
@@ -576,10 +653,11 @@ def test_count_scores_equal_the_round_by_round_integer_sum():
             round_class = 2 * laws.labels + y
             present = np.unique(round_class)
             steps = laws.q[present, :, 1] - laws.q[present, :, 0]
-            counted = _count_scores(_pack(bits), round_class == present[:, None], steps)
+            counted = _count_scores(_pack(bits), _words(round_class == present[:, None]), steps)
             per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
             exact = (bits.astype(object) @ per_round.astype(object)).T
-            assert np.array_equal(counted, exact.astype(np.int64))
+            # float64 against Python ints: == is exact both ways
+            assert counted.dtype == np.float64 and counted.tolist() == exact.tolist()
 
 
 @pytest.mark.parametrize("length", [255, 256, 300, 65537])
@@ -606,10 +684,10 @@ def test_count_scores_stay_exact_at_the_float64_edge(length):
         round_class = 2 * laws.labels + y
         present = np.unique(round_class)
         steps = laws.q[present, :, 1] - laws.q[present, :, 0]
-        counted = _count_scores(_pack(bits), round_class == present[:, None], steps)
+        counted = _count_scores(_pack(bits), _words(round_class == present[:, None]), steps)
         per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
         exact = (bits.astype(object) @ per_round.astype(object)).T
-        assert np.array_equal(counted, exact.astype(np.int64))
+        assert counted.dtype == np.float64 and counted.tolist() == exact.tolist()
         assert not counted[:, 1].any()  # the all-zeros row
         largest = int(np.abs(counted).max())
         if y_kind == "ones":
@@ -1019,7 +1097,7 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
     # fixed-point log-likelihoods
     assert ll.shape == (4, 16, 2, 2)
     assert [block.labels.size for block in laws] == [length for length, _ in _block_plan(cfg)]
-    for table in (ll, *(block.labels for block in laws), *(block.q for block in laws)):
+    for table in (ll, *(t for block in laws for t in (block.labels, block.masks, block.q))):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
