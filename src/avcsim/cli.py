@@ -26,7 +26,7 @@ from .channels import (
     symmetrization_residual,
 )
 from .geometry import EnergyBudget, sweep_records, sweep_to_csv
-from .protocol import SimConfig, simulate, trials_to_csv
+from .protocol import SimConfig, _check_workers, simulate, trials_to_csv
 
 
 def _dump_json(path: str, data: dict) -> None:
@@ -132,6 +132,11 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    try:
+        _check_workers(args.workers)
+    except ValueError as exc:
+        print(f"bad --workers: {exc}", file=sys.stderr)
+        return 2
     try:
         config = SimConfig.from_json_dict(_load_json(args.config))
         overrides = {"master_seed": args.seed, "trials": args.trials}

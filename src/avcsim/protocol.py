@@ -546,16 +546,17 @@ def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
 # candidate leaves), so each is built once per run rather than once per
 # trial; a run needs one entry of each cache.
 @functools.lru_cache(maxsize=4)
-def _vote_tables(config: SimConfig) -> tuple[np.ndarray, tuple[float, ...]]:
-    """ll[h, i, f, w] = log P(vote_i = w | frame bit f) under leaf h, from
-    `math.log` (read-only), and per leaf the vote model's input-averaged
-    crossover averaged over the transfer rounds (the report's
-    `model_crossover`)."""
+def _vote_tables(config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
+    """`_block_laws(vm[..., 1])` of the vote models vm[h, i, f, w] =
+    P(vote_i = w | frame bit f) under leaf h, and per leaf the crossover
+    averaged over inputs and rounds (the report's `model_crossover`)."""
     vm = np.stack([_vote_model(leaf, config) for leaf in config.jammer.leaves()])
-    ll = _math_map(math.log, np.clip(vm, 1e-300, None))
-    ll.flags.writeable = False
+    if config.source == "thermal":
+        # u is a coin, so both frame bits have one vote law; only the order of
+        # `_xor_mix`'s sums tells them apart, and their mean ties every slot
+        vm = 0.5 * (vm + vm[:, :, ::-1])
     crossover = 0.5 * (vm[:, :, 0, 1] + vm[:, :, 1, 0])
-    return ll, tuple(math.fsum(row) / len(row) for row in crossover.tolist())
+    return _block_laws(vm[..., 1]), tuple(math.fsum(row) / len(row) for row in crossover.tolist())
 
 
 @functools.lru_cache(maxsize=4)
@@ -587,30 +588,31 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
 
     Each round carries one frame slot (seed bits plus a final parity slot).
     The public mask flips every full frame pass, so every slot sees both row
-    biases of the effective channel equally. The receiver decodes each slot
-    from its votes by exact per-round likelihood, profiled over the candidate
-    schedules in the config (rounds with a crossover above 1/2 then count as
-    negative evidence, which plain majority voting would throw away); ties
-    resolve to 0. Agreement is checked via the parity slot and reported, not
-    enforced.
+    biases of the effective channel equally. The receiver decodes the slots
+    by exact per-round likelihood, profiled over the candidate schedules in
+    the config (rounds with a crossover above 1/2 then count as negative
+    evidence, which plain majority voting would throw away): sums[s, h, f]
+    adds the vote laws' fixed-point log-likelihoods (`_vote_tables`) in
+    int64, the leaf with the largest sum_s max_f wins (an exact tie: the
+    lowest leaf), and a slot decodes to 1 only if its f = 1 sum is strictly
+    larger. Agreement is checked via the parity slot and reported, not
+    enforced. Bits of the wrong shape raise ValueError.
     """
+    for name, bits, width in (("seed_bits", seed_bits, config.cr_seed_bits),
+                              ("u_bits", u_bits, config.k // 2), ("v_bits", v_bits, config.k // 2)):
+        if np.shape(bits) != (width,):
+            raise ValueError(f"{name} must have shape ({width},), got {np.shape(bits)}")
     slots, masks = _frame_layout(config)
     frame = np.concatenate([seed_bits, [seed_bits.sum() % 2]])
-    n_slots = len(frame)
     x = frame[slots] ^ masks ^ u_bits
     big_a, disp = _phase_params(strategy, config, 2)
     y = _bpsk_outputs(x, big_a, disp, config.alpha, config.eta, rng)
     votes = y ^ masks ^ v_bits
-    idx = np.arange(len(votes))
-    best_total = -np.inf
-    decoded = np.zeros(n_slots, dtype=np.int64)
-    for ll in _vote_tables(config)[0]:
-        sums0 = np.bincount(slots, weights=ll[idx, 0, votes], minlength=n_slots)
-        sums1 = np.bincount(slots, weights=ll[idx, 1, votes], minlength=n_slots)
-        total = float(np.maximum(sums0, sums1).sum())
-        if total > best_total:
-            best_total = total
-            decoded = (sums1 > sums0).astype(np.int64)  # tie -> 0
+    laws = _vote_tables(config)[0]
+    sums = np.zeros((len(frame),) + laws.q.shape[1:], dtype=np.int64)
+    np.add.at(sums, slots, laws.q[2 * laws.labels + votes])
+    best = sums.max(axis=2).sum(axis=0).argmax()
+    decoded = (sums[:, best, 1] > sums[:, best, 0]).astype(np.int64)
     received = decoded[:-1]
     parity_ok = bool(decoded[-1] == received.sum() % 2)
     # self-referential crossover estimate: votes against the decoded frame
@@ -678,20 +680,21 @@ def _words(bits: np.ndarray) -> np.ndarray:
 
 
 class _BlockLaws(NamedTuple):
-    """A data block's rounds grouped by law, with fixed-point log-likelihoods.
-
-    Rounds with equal p1[:, i, :] (one law under every candidate leaf) share
-    a law, and labels[i] is round i's; masks[g] holds law g's rounds as
-    `_words`. q[2 g + y, h, x] is 2^shift log P(y | x)
-    under law g and leaf h, rounded to an integer; the logarithms are
-    `math.log` and `math.log1p` of p1 clipped to [1e-300, 1 - 1e-16]. shift
-    is the largest exponent that keeps the block's summed largest |log P|
-    below 2^52 once scaled; rounding adds at most 1/2 a round, so the rounds'
-    summed largest |q| stays below 2^52 + L/2. Both log-likelihoods of a
-    round are <= 0, so a step q[., h, 1] - q[., h, 0] is at most the larger
-    |q| of its law in magnitude. So every score, and every partial sum of
-    its terms in any order, is an integer below 2^53 in magnitude, which
-    float64 holds exactly (`_count_scores` relies on this).
+    """A block's rounds (a data block, or the votes with f as x) grouped by
+    law, with fixed-point log-likelihoods. Rounds with equal p1[:, i, :] (one
+    law under every candidate leaf) share a law, and labels[i] is round i's;
+    masks[g] holds law g's rounds as `_words`. q[2 g + y, h, x] is 2^shift
+    log P(y | x) under law g and leaf h, rounded to an integer; the
+    logarithms are `math.log` and `math.log1p` of p1 clipped to
+    [1e-300, 1 - 1e-16]. shift is the largest exponent that keeps the
+    block's summed largest |log P| below 2^52 once scaled; rounding adds at
+    most 1/2 a round, so the rounds' summed largest |q| stays below
+    2^52 + L/2. Both log-likelihoods of a round are <= 0, so a step
+    q[., h, 1] - q[., h, 0] is at most the larger |q| of its law in
+    magnitude. So every score, and every partial sum of its terms in any
+    order, is an integer below 2^53 in magnitude, which float64 holds
+    exactly (`_count_scores` relies on this); so is every slot's sum in
+    `run_cr_phase`.
     """
 
     labels: np.ndarray
@@ -983,6 +986,13 @@ def trials_to_csv(records: Sequence[dict], fh: TextIO) -> None:
         writer.writerow(int(v) if isinstance(v, bool) else v for v in record.values())
 
 
+def _check_workers(workers) -> None:
+    """A worker count must be an integer of at least 1, else ValueError."""
+    _require_integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def _pool_size(requested: int, tasks: int) -> int:
     """Worker processes worth starting: no more than tasks or CPUs, at least 1."""
     return max(1, min(requested, tasks, os.cpu_count() or 1))
@@ -993,8 +1003,10 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
 
     The report is a pure function of the config: trials draw from
     counter-based sub-streams and are merged in a fixed order, so any worker
-    count produces the identical report.
+    count produces the identical report. A worker count that is not an
+    integer of at least 1 raises ValueError before any trial runs.
     """
+    _check_workers(workers)
     leaves = config.jammer.leaves()
     tasks = [
         (config, leaf, si, t)

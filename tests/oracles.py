@@ -13,8 +13,9 @@ deduplication and the per-row CSV writer at the end are the per-state
 routes that the package's array sweep replaced. The Python-float binarized
 correlation and mutual information are the scalar bodies that became one-row
 calls of the array forms, and the per-(f, u, v) vote-model loop is the one
-that the XOR-mixing kernel replaced. Each is kept as the reference for its
-replacement.
+that the XOR-mixing kernel replaced. The seed transfer's frame decision is
+rerun in Python integers, and kept in the float form that the fixed-point
+sums replaced. Each is kept as the reference for its replacement.
 """
 
 from __future__ import annotations
@@ -232,6 +233,49 @@ def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
                 vm[idx, f, 1 ^ masks ^ v] += weight * py1
                 vm[idx, f, masks ^ v] += weight * (1.0 - py1)
     return vm
+
+
+def cr_decode_reference(votes: np.ndarray, slots: np.ndarray, laws) -> tuple[list, int]:
+    """`protocol.run_cr_phase`'s decoded frame and chosen leaf from `laws`,
+    the `_BlockLaws` of its vote models, in Python integers round by round:
+    sums[s][h][f] adds q[2 label + vote][h][f] of each round in slot s; the
+    first leaf with the largest sum over slots of max_f wins, and a slot
+    decodes to 1 only if its f = 1 sum is strictly larger.
+    """
+    q, labels = laws.q.tolist(), laws.labels.tolist()
+    n_leaves = len(q[0])
+    sums = [[[0, 0] for _ in range(n_leaves)] for _ in range(max(slots.tolist()) + 1)]
+    for s, g, w in zip(slots.tolist(), labels, np.asarray(votes).tolist()):
+        for h in range(n_leaves):
+            for f in (0, 1):
+                sums[s][h][f] += q[2 * g + w][h][f]
+    totals = [sum(max(slot[h]) for slot in sums) for h in range(n_leaves)]
+    best = totals.index(max(totals))
+    return [int(slot[best][1] > slot[best][0]) for slot in sums], best
+
+
+def cr_decode_float(votes: np.ndarray, slots: np.ndarray,
+                    vm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`protocol.run_cr_phase`'s decision in the form it had before it read
+    fixed-point laws: log P(vote | f) from `math.log` of vm[h, i, f, w]
+    clipped at 1e-300, summed per slot with a float `np.bincount` per leaf,
+    the first leaf with the largest float total sum_s max_f, and a slot
+    decoding to 1 when its f = 1 sum is larger. Returns the decoded frame,
+    each leaf's total and the chosen leaf's per-slot margins (f = 1 sum less
+    f = 0 sum).
+    """
+    ll = np.vectorize(math.log, otypes=[float])(np.clip(vm, 1e-300, None))
+    n_slots = int(slots.max()) + 1
+    idx = np.arange(len(votes))
+    totals, best_total = [], -np.inf
+    for table in ll:
+        sums0 = np.bincount(slots, weights=table[idx, 0, votes], minlength=n_slots)
+        sums1 = np.bincount(slots, weights=table[idx, 1, votes], minlength=n_slots)
+        totals.append(float(np.maximum(sums0, sums1).sum()))
+        if totals[-1] > best_total:
+            best_total = totals[-1]
+            decoded, margins = (sums1 > sums0).astype(np.int64), sums1 - sums0
+    return decoded, np.array(totals), margins
 
 
 def _round_logliks(y: np.ndarray, p1: np.ndarray) -> list:

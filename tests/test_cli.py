@@ -201,6 +201,20 @@ def test_simulate_worker_count_does_not_change_artifacts(tmp_path, capsys):
     assert (dirs[0] / "trials.csv").read_bytes() == (dirs[1] / "trials.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_simulate_worker_count_below_1_exits_2_before_any_work(workers, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate ran with a worker count below 1")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    out = tmp_path / "run"
+    assert main(["simulate", str(_sim_config_file(tmp_path)), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"bad --workers: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alpha": 1.0, "n": 24}))
@@ -436,8 +450,8 @@ PINNED_RUNS = {
         "c62236516bbfcb18aaed2ba4bb42a411210d5c1743c3bdb4cba430f31859ae71"),
     "thermal": (
         {"k": 32, "cr_seed_bits": 3, "source": "thermal"},
-        "ecc53ef6195cc23017a75eda26062f41f9c00921df891a25d06feae7166064ae",
-        "630cb218a1ba89286b4b0adcb1c7814ca5ac722a3b0456153ba3e19b9706d3ee"),
+        "2e8b921ff8cf5cb101817fdace9023eb90d90ccef75b22655cd58e9a71e241cc",
+        "4e9396ff5721f1cd738023569db0a15f65d10ab2e0c152edefe5b97082dba388"),
     "common-randomness": (
         {"code_mode": "common-randomness"},
         "6ee8b692a5866345835ac5b29b2bad67f0905167de51125836ee5cd125b9995a",

@@ -47,6 +47,8 @@ from avcsim.protocol import (
 )
 
 from oracles import (
+    cr_decode_float,
+    cr_decode_reference,
     hamming_decoder,
     random_codebook_reference,
     repetition_majority_error,
@@ -783,12 +785,152 @@ def test_run_cr_phase_agreement_and_errors():
         assert 0.0 <= out["t_hat"] <= 1.0
         agree += out["agree"]
     assert agree >= 18  # ~33 votes per slot at an effective crossover near 1/4
+    # bits of the wrong shape are refused: no round carries a 4-bit seed's
+    # last two slots, nor a frame from sign bits of the wrong length
+    seed_bits = np.zeros(2, dtype=np.int64)
+    for bad in ((u, v, np.zeros(4, dtype=np.int64)), (u, v, seed_bits[None]),
+                (u[:-1], v, seed_bits), (u, v[None], seed_bits)):
+        with pytest.raises(ValueError, match="must have shape"):
+            run_cr_phase(bad[0], bad[1], leaf, cfg, bad[2], _rng(5, 0, 0, 3))
     # a transfer phase too short for the frame is refused with the config,
     # before any phase runs
     with pytest.raises(ValueError, match="cannot carry"):
         dataclasses.replace(cfg, k=8)
     with pytest.raises(ValueError, match="cannot carry"):
         dataclasses.replace(cfg, k=4, cr_seed_bits=1)
+
+
+@pytest.fixture
+def transfer(monkeypatch):
+    """`run_cr_phase` returning also its decoded frame, the votes it decoded
+    (from the outputs it drew with `_bpsk_outputs`) and the rounds' slots."""
+    outputs = []
+
+    def recording(*args):
+        outputs.append(_bpsk_outputs(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(protocol, "_bpsk_outputs", recording)
+
+    def run(u, v, leaf, cfg, seed_bits, rng):
+        out = run_cr_phase(u, v, leaf, cfg, seed_bits, rng)
+        slots, masks = protocol._frame_layout(cfg)
+        votes = outputs.pop() ^ masks ^ v
+        parity = int(out["received"].sum() % 2)
+        frame = out["received"].tolist() + [parity if out["parity_ok"] else 1 - parity]
+        # t_hat is the votes' disagreement with that frame
+        assert out["t_hat"] == float((votes != np.array(frame)[slots]).mean())
+        return out, frame, votes, slots
+
+    return run
+
+
+_SEED_JAMMERS = {
+    "canonical": canonical_schedules(),
+    "cyclic-and-gaussian": JammerStrategy.worst_of([
+        JammerStrategy.from_symbols((2, 0, 1, 1, 2)),
+        JammerStrategy.from_states([JammerGaussian(A=0.7, B=0.5, a=0.3),
+                                    JammerGaussian(A=1.5, B=0.3, a=-1.0)])]),
+    # one law per round
+    "gaussian-31": JammerStrategy.from_states(
+        [JammerGaussian(A=0.5 + 0.04 * i, B=0.5, a=0.07 * i - 1.0) for i in range(31)]),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("jammer", sorted(_SEED_JAMMERS))
+def test_seed_decision_matches_the_integer_reference_and_the_float_form(transfer, source,
+                                                                         jammer):
+    jam = _SEED_JAMMERS[jammer]
+    leaves = jam.leaves()
+    cfg = SimConfig(alpha=1.1, n=200, k=62, rate=0.2, jammer=jam, source=source,
+                    cr_seed_bits=3)
+    laws = _vote_tables(cfg)[0]
+    vm = np.stack([_vote_model(leaf, cfg) for leaf in leaves])
+    unit = 2.0 ** -laws.shift
+    rng = np.random.default_rng(18)
+    checked = 0
+    for trial in range(24):
+        u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
+        seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
+        _, frame, votes, slots = transfer(u, v, leaves[trial % len(leaves)], cfg, seed_bits,
+                                          _rng(18, 0, trial, 3))
+        reference, best = cr_decode_reference(votes, slots, laws)
+        assert frame == reference
+        # the float form may pick another leaf only within the fixed-point
+        # slack of its totals, and it decides every slot its margin puts
+        # beyond that slack as the integers do
+        decoded, totals, margins = cr_decode_float(votes, slots, vm)
+        if int(np.argmax(totals)) != best:
+            assert totals.max() - totals[best] <= len(votes) * unit
+            continue
+        sure = np.abs(margins) > np.bincount(slots) * unit
+        assert np.array_equal(decoded[sure], np.array(frame)[sure])
+        checked += int(sure.sum())
+    # the thermal source's votes carry no evidence, so its margins are all slack
+    assert checked >= (48 if source == "tmsv" else 0)
+
+
+@pytest.mark.parametrize("alpha, eta, k, bits", [(1.0, 0.5, 32, 3), (3.7, 0.2, 8, 1),
+                                                 (1.0, 0.2, 64, 5), (2.0, 0.9, 8, 1)])
+def test_thermal_seed_slots_tie_and_decode_to_the_all_zero_frame(alpha, eta, k, bits):
+    # the sender's bit is a coin, so the vote law is one under both frame
+    # bits; the float model tells them apart in the last bit, and at these
+    # configs that once reached the fixed-point laws
+    jam = canonical_schedules()
+    cfg = SimConfig(alpha=alpha, n=k + 64, k=k, rate=0.1, jammer=jam, source="thermal",
+                    eta=eta, cr_seed_bits=bits)
+    laws = _vote_tables(cfg)[0]
+    assert np.array_equal(laws.q[..., 0], laws.q[..., 1])
+    rng = np.random.default_rng(k)
+    for trial in range(8):
+        u, v = rng.integers(0, 2, size=(2, k // 2))
+        seed_bits = rng.integers(0, 2, size=bits)
+        out = run_cr_phase(u, v, jam.leaves()[trial % 4], cfg, seed_bits, _rng(k, 0, trial, 3))
+        assert not out["received"].any() and out["parity_ok"]
+
+
+def test_equal_leaf_totals_go_to_the_lowest_leaf(transfer, monkeypatch):
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    cr_seed_bits=3)
+    one = _vote_tables(cfg)[0]
+    one = one._replace(q=one.q[:, :1])
+    # leaf 1 reads leaf 0's laws with the frame bit flipped, so the leaves'
+    # totals tie exactly and their decodes differ on every slot not tied
+    mirrored = one._replace(q=np.concatenate([one.q, one.q[..., ::-1]], axis=1))
+    monkeypatch.setattr(protocol, "_vote_tables", lambda config: (mirrored, ()))
+    leaf = cfg.jammer.leaves()[0]
+    rng = np.random.default_rng(4)
+    for trial in range(6):
+        u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
+        seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
+        _, frame, votes, slots = transfer(u, v, leaf, cfg, seed_bits, _rng(4, 0, trial, 3))
+        assert (frame, 0) == cr_decode_reference(votes, slots, mirrored)
+        assert frame == cr_decode_reference(votes, slots, one)[0]
+        assert frame != cr_decode_reference(votes, slots, one._replace(q=one.q[..., ::-1]))[0]
+
+
+def test_criterion_10_tied_parity_slot_decodes_to_0(transfer):
+    # all-0 trial 150 of criterion 10's run: its parity slot ties exactly,
+    # which the float sums had at a margin of 4.3e-14, decoding to 1
+    cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=20260813, trials=200, cr_seed_bits=1)
+    leaf, seed, trial = cfg.jammer.leaves()[0], cfg.master_seed, 150
+    u, v = run_correlation_phase(leaf, cfg, _rng(seed, 0, trial, protocol._TAG_PHASE1))
+    seed_bits = _rng(seed, 0, trial, protocol._TAG_SEED).integers(0, 2, size=1, dtype=np.int64)
+    out, frame, votes, slots = transfer(u, v, leaf, cfg, seed_bits,
+                                        _rng(seed, 0, trial, protocol._TAG_PHASE2))
+    laws = _vote_tables(cfg)[0]
+    parity = slots == 1
+    sums = laws.q[2 * laws.labels[parity] + votes[parity], 0].sum(axis=0)
+    assert sums[0] == sums[1]
+    assert frame == [0, 0] and out["parity_ok"] and out["agree"]
+    # leaves all-0 and all-1 have one vote law here, so their totals tie too
+    assert cr_decode_reference(votes, slots, laws) == (frame, 0)
+    vm = np.stack([_vote_model(one, cfg) for one in cfg.jammer.leaves()])
+    decoded, _, margins = cr_decode_float(votes, slots, vm)
+    assert decoded.tolist() == [0, 1]
+    assert 0 < margins[1] < np.count_nonzero(parity) * 2.0 ** -laws.shift
 
 
 def test_run_data_phase_round_trip_at_high_amplitude():
@@ -933,6 +1075,8 @@ def test_report_states_error_intervals_and_splits_seed_failures():
         flagged = sum(not row["seed_ok"] and not row["parity_ok"] for row in rows)
         silent = sum(not row["seed_ok"] and row["parity_ok"] for row in rows)
         assert (stats["seed_failures_flagged"], stats["seed_failures_silent"]) == (flagged, silent)
+        # every thermal slot ties, so the frame decodes to zeros and its parity holds
+        assert flagged == 0
         assert flagged + silent == round((1.0 - stats["seed_agreement_rate"]) * len(rows))
         failed_total += flagged + silent
     assert failed_total > 0
@@ -1028,6 +1172,18 @@ def test_simulate_clamps_workers_before_opening_a_pool(monkeypatch):
     assert simulate(cfg, workers=10**9) == simulate(cfg)
 
 
+@pytest.mark.parametrize("workers", [0, -4, 1.5, True, "2", None])
+def test_simulate_refuses_a_bad_worker_count_before_any_trial(monkeypatch, workers):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(protocol, "_run_trial", no_trial)
+    cfg = SimConfig(alpha=1.0, n=24, k=8, rate=0.25, jammer=canonical_schedules(),
+                    master_seed=123, trials=1, cr_seed_bits=1)
+    with pytest.raises(ValueError, match="^workers must be"):
+        simulate(cfg, workers=workers)
+
+
 # --- config-invariant work done once per run ---------------------------------
 
 
@@ -1054,8 +1210,8 @@ def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
     simulate(cfg)
     # one transfer-phase and one data-phase table per canonical leaf
     assert len(calls) == 8
-    # and the decoder's laws once per data block
-    assert len(laws) == len(_block_plan(cfg))
+    # and the decoders' laws once for the votes and once per data block
+    assert len(laws) == 1 + len(_block_plan(cfg))
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -1090,18 +1246,19 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     cr_seed_bits=3)
     other = dataclasses.replace(cfg, eta=0.6)
-    ll = _vote_tables(cfg)[0]
+    votes = _vote_tables(cfg)[0]
     laws = _data_block_laws(cfg)
-    assert _vote_tables(cfg)[0] is ll and _data_block_laws(cfg) is laws
-    # the vote log-likelihoods, and per data block the round laws and their
-    # fixed-point log-likelihoods
-    assert ll.shape == (4, 16, 2, 2)
+    assert _vote_tables(cfg)[0] is votes and _data_block_laws(cfg) is laws
+    # the round laws and their fixed-point log-likelihoods of the transfer
+    # rounds' votes and of each data block
+    assert votes.labels.size == cfg.k // 2 and votes.q.shape[1:] == (4, 2)
     assert [block.labels.size for block in laws] == [length for length, _ in _block_plan(cfg)]
-    for table in (ll, *(t for block in laws for t in (block.labels, block.masks, block.q))):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[(0,) * table.ndim] = 0
-    assert not np.array_equal(_vote_tables(other)[0], ll)
+    for block in (votes, *laws):
+        for table in (block.labels, block.masks, block.q):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+    assert not np.array_equal(_vote_tables(other)[0].q, votes.q)
     assert not np.array_equal(_data_block_laws(other)[0].q, laws[0].q)
 
 
