@@ -31,8 +31,8 @@ from .protocol import SimConfig, _check_workers, simulate, trials_to_csv
 
 def _dump_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        # one dumps: dump with an indent writes chunk by chunk
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _load_json(path: str):

@@ -426,46 +426,85 @@ def _bpsk_law(big_a: np.ndarray, disp: np.ndarray, alpha: float,
     return mean, np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
 
 
-def _bpsk_outputs(x: np.ndarray, big_a: np.ndarray, disp: np.ndarray,
-                  alpha: float, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Receiver bit per round for BPSK inputs x in {0, 1}: 0 iff quadrature >= 0."""
-    mean, sd = _bpsk_law(big_a, disp, alpha, eta)
+def _bpsk_outputs(x: np.ndarray, law: tuple[np.ndarray, np.ndarray],
+                  rng: np.random.Generator) -> np.ndarray:
+    """Receiver bit per round for BPSK inputs x in {0, 1} under the rounds'
+    `_bpsk_law` (mean, sd): 0 iff quadrature >= 0."""
+    mean, sd = law
     quad = mean[np.arange(x.shape[0]), x] + sd * rng.standard_normal(x.shape)
     return (quad < 0.0).astype(np.int64)
 
 
-def _pair_outputs(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
-                  rng: np.random.Generator, source: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sign bits (u, v), 1 for a nonnegative quadrature, for the entangled symbol."""
-    n_rounds = big_a.shape[0]
+def _pair_law(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
+              source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Law of the entangled symbol's rounds under jammer x-moments (A, a):
+    the receiver port's x-mean and x-sd, rho, the correlation of its x record
+    with the kept mode's, and sqrt(1 - rho^2), None for the thermal source
+    (its sender tosses a coin, and its rho can round above 1)."""
+    mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
+    rho_c = None if source == "thermal" else np.sqrt(1.0 - rho * rho)
+    return mean_b, np.sqrt(var_b), rho, rho_c
+
+
+def _pair_outputs(law: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sign bits (u, v), 1 for a nonnegative quadrature, for the entangled
+    symbol under the rounds' `_pair_law`."""
+    mean_b, sd_b, rho, rho_c = law
+    n_rounds = mean_b.shape[0]
     z1 = rng.standard_normal(n_rounds)
     z2 = rng.standard_normal(n_rounds)
-    mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
-    if source == "thermal":
+    if rho_c is None:
         # unentangled substitute: same receiver marginal, sender tosses a coin
         u = rng.integers(0, 2, size=n_rounds, dtype=np.int64)
-        quad_b = mean_b + np.sqrt(var_b) * z2
+        quad_b = mean_b + sd_b * z2
         return u, (quad_b >= 0.0).astype(np.int64)
-    quad_b = mean_b + np.sqrt(var_b) * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2)
+    quad_b = mean_b + sd_b * (rho * z1 + rho_c * z2)
     return (z1 >= 0.0).astype(np.int64), (quad_b >= 0.0).astype(np.int64)
 
 
 # --- the run's shape: the config alone fixes it ------------------------------
+#
+# The tables from here to the protocol phases are functions of the config (and
+# a leaf of its jammer), cached so that a run builds each once, not once per
+# trial; `simulate` empties these caches (`_RUN_CACHES`) when it returns.
 
 
-def _phase_params(leaf: JammerStrategy, config: SimConfig,
-                  phase: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A_i, a_i) of the leaf's jammer state over phase 1 (the k/2 sign-pair
-    rounds), 2 (the k/2 transfer rounds) or 3 (the n - k data rounds)."""
-    bounds = (0, config.k // 2, config.k, config.n)
-    return leaf.round_params(bounds[phase] - bounds[phase - 1], config.alpha, bounds[phase - 1])
+class _LeafTables(NamedTuple):
+    """One leaf's laws over the block: the `_pair_law` of phase 1 (the k/2
+    sign-pair rounds) and the `_bpsk_law` (mean, sd) of phase 2 (the k/2
+    transfer rounds) and phase 3 (the n - k data rounds)."""
+
+    pair: tuple
+    transfer: tuple[np.ndarray, np.ndarray]
+    data: tuple[np.ndarray, np.ndarray]
 
 
+# a run reads one entry per leaf and runs its trials leaf by leaf, so with
+# more leaves than entries a leaf's table is built again when its trials begin
+@functools.lru_cache(maxsize=16)
+def _leaf_tables(leaf: JammerStrategy, config: SimConfig) -> _LeafTables:
+    """The `_LeafTables` of a leaf of the config's jammer; its arrays are read-only."""
+    half, k = config.k // 2, config.k
+    big_a, disp = leaf.round_params(config.n, config.alpha)
+    tables = _LeafTables(
+        _pair_law(big_a[:half], disp[:half], config.squeezing, config.eta, config.source),
+        _bpsk_law(big_a[half:k], disp[half:k], config.alpha, config.eta),
+        _bpsk_law(big_a[k:], disp[k:], config.alpha, config.eta),
+    )
+    for a in (*tables.pair, *tables.transfer, *tables.data):
+        if a is not None:
+            a.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=4)
 def _frame_layout(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slot and public mask of each transfer round: the frame is the seed
     bits and a parity slot, and the mask flips after each pass of it."""
     passes, slots = np.divmod(np.arange(config.k // 2), config.cr_seed_bits + 1)
-    return slots, passes % 2
+    masks = passes % 2
+    slots.flags.writeable = masks.flags.writeable = False
+    return slots, masks
 
 
 @functools.lru_cache(maxsize=4)
@@ -490,14 +529,12 @@ def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
 # deterministic function of the config, so decoding stays reproducible.
 
 
-def _bpsk_flip_table(big_a: np.ndarray, disp: np.ndarray,
-                     alpha: float, eta: float) -> np.ndarray:
-    """p1[i, x] = P(y = 1 | x) per round, from the homodyne quadrature law.
+def _bpsk_flip_table(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """p1[i, x] = P(y = 1 | x) per round, from the rounds' `_bpsk_law`.
 
     The mean is clipped to 40 sd first, so that mean / sd cannot overflow:
     the normal CDF is exactly 0 or 1 in double precision beyond 38.5 sd.
     """
-    mean, sd = _bpsk_law(big_a, disp, alpha, eta)
     bound = 40.0 * sd[:, None]
     return std_normal_cdf_array(-np.clip(mean, -bound, bound) / sd[:, None])
 
@@ -534,17 +571,15 @@ def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
     pair law and BPSK law (`channels._xor_mix`) read at input f XOR m and
     output w XOR m, m the public mask.
     """
-    qa = _pair_joint_table(*_phase_params(leaf, config, 1), config)
-    p1 = _bpsk_flip_table(*_phase_params(leaf, config, 2), config.alpha, config.eta)
+    qa = _pair_joint_table(*leaf.round_params(config.k // 2, config.alpha), config)
+    p1 = _bpsk_flip_table(*_leaf_tables(leaf, config).transfer)
     eff = _xor_mix(qa, np.stack([1.0 - p1, p1], axis=-1))
     m = _frame_layout(config)[1][:, None, None]
     bit = np.arange(2)
     return eff[np.arange(m.shape[0])[:, None, None], bit[:, None] ^ m, bit ^ m]
 
 
-# The decoders' tables depend only on the config (whose jammer lists the
-# candidate leaves), so each is built once per run rather than once per
-# trial; a run needs one entry of each cache.
+# a run needs one entry of each of the decoders' caches
 @functools.lru_cache(maxsize=4)
 def _vote_tables(config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
     """`_block_laws(vm[..., 1])` of the vote models vm[h, i, f, w] =
@@ -563,12 +598,13 @@ def _vote_tables(config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
 def _data_block_laws(config: SimConfig) -> tuple["_BlockLaws", ...]:
     """`_block_laws` of each data sub-block's slice of the data phase's flip
     tables p1[h, i, x] under every leaf; p1 itself is not kept."""
-    p1 = np.stack([
-        _bpsk_flip_table(*_phase_params(leaf, config, 3), config.alpha, config.eta)
-        for leaf in config.jammer.leaves()
-    ])
+    p1 = np.stack([_bpsk_flip_table(*_leaf_tables(leaf, config).data)
+                   for leaf in config.jammer.leaves()])
     starts = np.cumsum([0] + [length for length, _ in _block_plan(config)])
     return tuple(_block_laws(p1[:, a:b]) for a, b in zip(starts[:-1], starts[1:]))
+
+
+_RUN_CACHES = (_leaf_tables, _frame_layout, _block_plan, _vote_tables, _data_block_laws)
 
 
 # --- protocol phases --------------------------------------------------------
@@ -577,8 +613,17 @@ def _data_block_laws(config: SimConfig) -> tuple["_BlockLaws", ...]:
 def run_correlation_phase(strategy: JammerStrategy, config: SimConfig,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sign-bit pairs (u, v) from the k/2 uses of the entangled symbol."""
-    big_a, disp = _phase_params(strategy, config, 1)
-    return _pair_outputs(big_a, disp, config.squeezing, config.eta, rng, config.source)
+    return _pair_outputs(_leaf_tables(strategy, config).pair, rng)
+
+
+def _slot_sums(terms: np.ndarray, width: int) -> np.ndarray:
+    """sums[s] = the sum of terms[j] over the rounds j with j % width == s, in
+    int64: the rounds as a (passes, width, ...) view, zero-padded to whole
+    passes when width does not divide them, summed over the passes."""
+    pad = -len(terms) % width
+    if pad:
+        terms = np.concatenate([terms, np.zeros((pad,) + terms.shape[1:], dtype=terms.dtype)])
+    return terms.reshape((-1, width) + terms.shape[1:]).sum(axis=0, dtype=np.int64)
 
 
 def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrategy,
@@ -605,12 +650,10 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     slots, masks = _frame_layout(config)
     frame = np.concatenate([seed_bits, [seed_bits.sum() % 2]])
     x = frame[slots] ^ masks ^ u_bits
-    big_a, disp = _phase_params(strategy, config, 2)
-    y = _bpsk_outputs(x, big_a, disp, config.alpha, config.eta, rng)
+    y = _bpsk_outputs(x, _leaf_tables(strategy, config).transfer, rng)
     votes = y ^ masks ^ v_bits
     laws = _vote_tables(config)[0]
-    sums = np.zeros((len(frame),) + laws.q.shape[1:], dtype=np.int64)
-    np.add.at(sums, slots, laws.q[2 * laws.labels + votes])
+    sums = _slot_sums(laws.q[2 * laws.labels + votes], len(frame))
     best = sums.max(axis=2).sum(axis=0).argmax()
     decoded = (sums[:, best, 1] > sums[:, best, 0]).astype(np.int64)
     received = decoded[:-1]
@@ -853,7 +896,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     plan = _block_plan(config)
     if sum(b for _, b in plan) != len(message_bits):
         raise ValueError("message length does not match the block plan")
-    big_a, disp = _phase_params(strategy, config, 3)
+    mean, sd = _leaf_tables(strategy, config).data
     laws = _data_block_laws(config)
     # the codebook key depends only on the seed value, so equal copies share one draw
     shared = np.array_equal(sender_seed, receiver_seed)
@@ -867,12 +910,8 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
         row = cb_recv[m] if shared else _codebook_rows(m, m + 1, length, *key, sender_seed,
                                                        block)[0]
         x = np.unpackbits(row, count=length, bitorder="little").astype(np.int64)
-        y = _bpsk_outputs(
-            x,
-            big_a[pos_rounds : pos_rounds + length],
-            disp[pos_rounds : pos_rounds + length],
-            config.alpha, config.eta, rng,
-        )
+        rounds = slice(pos_rounds, pos_rounds + length)
+        y = _bpsk_outputs(x, (mean[rounds], sd[rounds]), rng)
         m_hat = schedule_set_decoder(cb_recv, y, laws[block])
         decoded[pos_bits : pos_bits + bits] = (m_hat >> np.arange(bits - 1, -1, -1)) & 1
         pos_rounds += length
@@ -1014,16 +1053,23 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
         for t in range(config.trials)
     ]
     workers = _pool_size(workers, len(tasks))
-    if workers == 1:
-        records = [_run_trial(*task) for task in tasks]
-    else:
-        # imported here: multiprocessing costs every process that never opens
-        # a pool about 2 MB of resident memory
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers == 1:
+            records = [_run_trial(*task) for task in tasks]
+        else:
+            # imported here: multiprocessing costs every process that never
+            # opens a pool about 2 MB of resident memory
+            from concurrent.futures import ProcessPoolExecutor
 
-        # map returns results in task order, whatever order they finish in
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, *zip(*tasks), chunksize=8))
+            # map returns results in task order, whatever order they finish in
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_run_trial, *zip(*tasks), chunksize=8))
+        crossovers = (_vote_tables(config)[1] if config.code_mode == "correlation-assisted"
+                      else (None,) * len(leaves))
+    finally:
+        # the tables are the run's: none outlives it (each worker's die with it)
+        for cache in _RUN_CACHES:
+            cache.cache_clear()
     per_strategy = {}
     failures = []
     for si, leaf in enumerate(leaves):
@@ -1033,8 +1079,7 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
             "empirical_error": failures[-1] / len(rows),
             "error_ci95": list(wilson_interval(failures[-1], len(rows))),
             "mean_crossover": sum(row["t_hat"] for row in rows) / len(rows),
-            "model_crossover": (_vote_tables(config)[1][si]
-                                if config.code_mode == "correlation-assisted" else None),
+            "model_crossover": crossovers[si],
             "seed_agreement_rate": sum(float(row["seed_ok"]) for row in rows) / len(rows),
             "parity_flag_rate": sum(1.0 - float(row["parity_ok"]) for row in rows) / len(rows),
             "seed_failures_flagged": sum(not row["seed_ok"] and not row["parity_ok"]

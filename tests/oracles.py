@@ -65,6 +65,7 @@ from avcsim.protocol import (
     JammerStrategy,
     SimConfig,
     _bpsk_flip_table,
+    _bpsk_law,
     _pair_joint_table,
 )
 
@@ -221,8 +222,8 @@ def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
     f XOR mask XOR u. Each cell gets its four terms in (u, v) order from 0.0.
     """
     qa = _pair_joint_table(*leaf.round_params(rounds, config.alpha, 0), config)
-    p1 = _bpsk_flip_table(*leaf.round_params(rounds, config.alpha, config.k // 2),
-                          config.alpha, config.eta)
+    p1 = _bpsk_flip_table(*_bpsk_law(*leaf.round_params(rounds, config.alpha, config.k // 2),
+                                     config.alpha, config.eta))
     idx = np.arange(rounds)
     vm = np.zeros((rounds, 2, 2))
     for f in (0, 1):
@@ -235,13 +236,10 @@ def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
     return vm
 
 
-def cr_decode_reference(votes: np.ndarray, slots: np.ndarray, laws) -> tuple[list, int]:
-    """`protocol.run_cr_phase`'s decoded frame and chosen leaf from `laws`,
-    the `_BlockLaws` of its vote models, in Python integers round by round:
-    sums[s][h][f] adds q[2 label + vote][h][f] of each round in slot s; the
-    first leaf with the largest sum over slots of max_f wins, and a slot
-    decodes to 1 only if its f = 1 sum is strictly larger.
-    """
+def cr_slot_sums_reference(votes: np.ndarray, slots: np.ndarray, laws) -> list:
+    """`protocol.run_cr_phase`'s slot sums from `laws`, the `_BlockLaws` of its
+    vote models, in Python integers round by round: sums[s][h][f] adds
+    q[2 label + vote][h][f] of each round in slot s."""
     q, labels = laws.q.tolist(), laws.labels.tolist()
     n_leaves = len(q[0])
     sums = [[[0, 0] for _ in range(n_leaves)] for _ in range(max(slots.tolist()) + 1)]
@@ -249,6 +247,17 @@ def cr_decode_reference(votes: np.ndarray, slots: np.ndarray, laws) -> tuple[lis
         for h in range(n_leaves):
             for f in (0, 1):
                 sums[s][h][f] += q[2 * g + w][h][f]
+    return sums
+
+
+def cr_decode_reference(votes: np.ndarray, slots: np.ndarray, laws) -> tuple[list, int]:
+    """`protocol.run_cr_phase`'s decoded frame and chosen leaf from its slot
+    sums (`cr_slot_sums_reference`): the first leaf with the largest sum over
+    slots of max_f wins, and a slot decodes to 1 only if its f = 1 sum is
+    strictly larger.
+    """
+    sums = cr_slot_sums_reference(votes, slots, laws)
+    n_leaves = len(sums[0])
     totals = [sum(max(slot[h]) for slot in sums) for h in range(n_leaves)]
     best = totals.index(max(totals))
     return [int(slot[best][1] > slot[best][0]) for slot in sums], best

@@ -1,6 +1,7 @@
 """Protocol phases, decoders, exact evaluation, and the simulation harness."""
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -35,9 +36,11 @@ from avcsim import protocol
 from avcsim.protocol import (
     _block_laws,
     _block_plan,
+    _bpsk_law,
     _bpsk_outputs,
     _count_scores,
     _data_block_laws,
+    _pair_law,
     _pair_outputs,
     _pool_size,
     _rng,
@@ -49,6 +52,7 @@ from avcsim.protocol import (
 from oracles import (
     cr_decode_float,
     cr_decode_reference,
+    cr_slot_sums_reference,
     hamming_decoder,
     random_codebook_reference,
     repetition_majority_error,
@@ -388,7 +392,7 @@ def test_bpsk_sampler_matches_kernel_crossover():
         tau = jammer_state_for_symbol(letter, 1.0)
         big_a = np.full(n, tau.A)
         disp = np.full(n, tau.a)
-        y = _bpsk_outputs(np.full(n, x), big_a, disp, 1.0, 0.5, rng)
+        y = _bpsk_outputs(np.full(n, x), _bpsk_law(big_a, disp, 1.0, 0.5), rng)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs((y != x).mean() - expected) <= 4 * sigma + 1e-9, (x, letter)
 
@@ -399,7 +403,7 @@ def test_pair_sampler_matches_quadrant_law():
     q = quadrant_distribution(homodyne_xx(mix_tmsv_with_jammer(r, eta, tau)))
     n = 200_000
     rng = np.random.default_rng(62)
-    u, v = _pair_outputs(np.full(n, tau.A), np.full(n, tau.a), r, eta, rng, "tmsv")
+    u, v = _pair_outputs(_pair_law(np.full(n, tau.A), np.full(n, tau.a), r, eta, "tmsv"), rng)
     counts = np.bincount(2 * u + v, minlength=4) / n
     for qij, fij in zip((q.q00, q.q01, q.q10, q.q11), counts):
         sigma = math.sqrt(max(qij * (1 - qij), 1e-9) / n)
@@ -411,7 +415,8 @@ def test_thermal_pair_sampler_has_uncorrelated_sender_bit():
     tau = jammer_state_for_symbol(0, 1.0)
     n = 100_000
     rng = np.random.default_rng(63)
-    u, v = _pair_outputs(np.full(n, tau.A), np.full(n, tau.a), r, eta, rng, "thermal")
+    u, v = _pair_outputs(_pair_law(np.full(n, tau.A), np.full(n, tau.a), r, eta, "thermal"),
+                         rng)
     assert abs(u.mean() - 0.5) <= 4 * math.sqrt(0.25 / n)
     corr = np.corrcoef(u, v)[0, 1]
     assert abs(corr) <= 4 / math.sqrt(n)
@@ -933,6 +938,38 @@ def test_criterion_10_tied_parity_slot_decodes_to_0(transfer):
     assert 0 < margins[1] < np.count_nonzero(parity) * 2.0 ** -laws.shift
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_slot_sums_of_a_frame_that_does_not_divide_the_transfer_rounds(transfer, monkeypatch,
+                                                                       source):
+    # k/2 = 400 rounds of a 3-slot frame: 133 whole passes and one round of
+    # a 134th, which the sums' (passes, slots) view pads with zeros
+    cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
+                    source=source, r=20.0 if source == "thermal" else None, cr_seed_bits=2)
+    leaves = cfg.jammer.leaves()
+    assert (cfg.k // 2) % (cfg.cr_seed_bits + 1) == 1
+    if source == "thermal":
+        # rho rounds above 1 at this squeezing, where sqrt(1 - rho^2) would warn
+        rho = protocol._leaf_tables(leaves[0], cfg).pair[2]
+        assert np.all(rho > 1.0)
+    laws = _vote_tables(cfg)[0]
+    sums = []
+    real = protocol._slot_sums
+
+    def recording(*args):
+        sums.append(real(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(protocol, "_slot_sums", recording)
+    rng = np.random.default_rng(19)
+    for trial in range(8):
+        u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
+        seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
+        _, frame, votes, slots = transfer(u, v, leaves[trial % len(leaves)], cfg, seed_bits,
+                                          _rng(19, 0, trial, 3))
+        assert sums.pop().tolist() == cr_slot_sums_reference(votes, slots, laws)
+        assert frame == cr_decode_reference(votes, slots, laws)[0]
+
+
 def test_run_data_phase_round_trip_at_high_amplitude():
     # alpha = 4 against a vacuum jammer state: crossover Phi(-4 sqrt 2), about
     # 8e-9 on both inputs, so decoding must be exact with matched seeds
@@ -1214,6 +1251,59 @@ def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
     assert len(laws) == 1 + len(_block_plan(cfg))
 
 
+@pytest.mark.parametrize("mode, k", [("correlation-assisted", 32), ("common-randomness", 0)])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_leaf_tables_are_built_once_per_leaf_per_run(monkeypatch, mode, k, trials):
+    cfg = SimConfig(alpha=1.0, n=128, k=k, rate=0.1, jammer=canonical_schedules(),
+                    code_mode=mode, master_seed=34, trials=trials, cr_seed_bits=3)
+    real = protocol._leaf_tables
+    builds = []
+
+    def build(leaf, config):
+        builds.append(leaf.label)
+        tables = real.__wrapped__(leaf, config)
+        for law in tables:
+            assert not any(a.flags.writeable for a in law if a is not None)
+        return tables
+
+    # a cache of the same size around a counting builder
+    monkeypatch.setattr(protocol, "_leaf_tables",
+                        functools.lru_cache(**real.cache_parameters())(build))
+    simulate(cfg)
+    assert sorted(builds) == sorted(leaf.label for leaf in cfg.jammer.leaves())
+
+
+_RUN_CACHE_NAMES = ("_leaf_tables", "_frame_layout", "_block_plan", "_vote_tables",
+                    "_data_block_laws")
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_simulate_drops_its_per_config_tables(monkeypatch, fail):
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=35, trials=2, cr_seed_bits=3)
+    caches = [getattr(protocol, name) for name in _RUN_CACHE_NAMES]
+    assert set(protocol._RUN_CACHES) == set(caches)
+    real = protocol.run_data_phase
+    sizes = []
+
+    def data_phase(*args):
+        decoded = real(*args)
+        # by the end of a trial's data phase every table of the run is built
+        sizes.append([cache.cache_info().currsize for cache in caches])
+        if fail:
+            raise RuntimeError("a failing trial")
+        return decoded
+
+    monkeypatch.setattr(protocol, "run_data_phase", data_phase)
+    if fail:
+        with pytest.raises(RuntimeError, match="a failing trial"):
+            simulate(cfg)
+    else:
+        simulate(cfg)
+    assert sizes and all(size > 0 for size in sizes[0])
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
 @pytest.mark.parametrize("trials", [1, 3])
 def test_common_randomness_draws_one_codebook_per_block(monkeypatch, trials):
     cfg = SimConfig(alpha=1.0, n=128, k=0, rate=0.1, jammer=canonical_schedules(),
@@ -1265,7 +1355,7 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
 def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
     alpha, eta = 1.3, 0.7
     big_a, disp = JammerStrategy.from_symbols((0, 1, 2, 2)).round_params(11, alpha, 1)
-    table = protocol._bpsk_flip_table(big_a, disp, alpha, eta)
+    table = protocol._bpsk_flip_table(*_bpsk_law(big_a, disp, alpha, eta))
     for i in range(11):
         sd = math.sqrt(eta / 2.0 + (1.0 - eta) * big_a[i])
         for x in (0, 1):
@@ -1277,7 +1367,8 @@ def test_a_displacement_near_the_double_maximum_runs_without_overflow():
     # mean / sd would be 2.4e308: the flip table clips the mean to 40 sd first,
     # where the normal CDF is already exactly 0 or 1
     state = JammerGaussian(A=1e-200, B=1e200, a=1.7e308)
-    table = protocol._bpsk_flip_table(np.array([state.A]), np.array([state.a]), 1.0, 0.5)
+    table = protocol._bpsk_flip_table(*_bpsk_law(np.array([state.A]), np.array([state.a]),
+                                                 1.0, 0.5))
     assert table.tolist() == [[0.0, 0.0]]
     jam = JammerStrategy.from_states([state])
     with warnings.catch_warnings():
