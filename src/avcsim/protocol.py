@@ -90,6 +90,27 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _hash_once(self) -> int:
+    """A frozen dataclass's hash of its fields, computed once per object.
+
+    The per-run caches key on the config and its leaves, so a trial looks
+    them up many times. The value lives in the instance and `_unhashed_state`
+    leaves it out of a pickle: `str` hashes are salted per process, so a
+    pool worker hashes its own copy.
+    """
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def _unhashed_state(self) -> dict:
+    """The instance's state without the hash that `_hash_once` cached."""
+    return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
+
 @dataclass(frozen=True)
 class JammerStrategy:
     """Per-round jammer behaviour: a symbol schedule, a state list, or a worst-case set.
@@ -103,6 +124,9 @@ class JammerStrategy:
     states: tuple = ()
     options: tuple = ()
     label: str = ""
+
+    __hash__ = _hash_once
+    __getstate__ = _unhashed_state
 
     def __post_init__(self):
         if self.kind not in ("symbols", "gaussian", "worst_of"):
@@ -238,6 +262,9 @@ class SimConfig:
     r: Optional[float] = None
     cr_seed_bits: int = 8
     max_block_bits: int = 13
+
+    __hash__ = _hash_once
+    __getstate__ = _unhashed_state
 
     def __post_init__(self):
         for name in ("alpha", "rate", "eta"):
@@ -426,12 +453,22 @@ def _bpsk_law(big_a: np.ndarray, disp: np.ndarray, alpha: float,
     return mean, np.sqrt(eta / 2.0 + (1.0 - eta) * big_a)
 
 
-def _bpsk_outputs(x: np.ndarray, law: tuple[np.ndarray, np.ndarray],
-                  rng: np.random.Generator) -> np.ndarray:
+def _per_trial(rng, draw):
+    """draw(rng) for one generator; for a sequence of generators, one trial's
+    each, the rows draw(rng[i]) stacked along a leading trial axis."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.stack([draw(gen) for gen in rng])
+
+
+def _bpsk_outputs(x: np.ndarray, law: tuple[np.ndarray, np.ndarray], rng) -> np.ndarray:
     """Receiver bit per round for BPSK inputs x in {0, 1} under the rounds'
-    `_bpsk_law` (mean, sd): 0 iff quadrature >= 0."""
+    `_bpsk_law` (mean, sd): 0 iff quadrature >= 0. Rounds run along the last
+    axis; with a sequence of generators (`_per_trial`), x[i] is trial i's."""
     mean, sd = law
-    quad = mean[np.arange(x.shape[0]), x] + sd * rng.standard_normal(x.shape)
+    n_rounds = x.shape[-1]
+    noise = _per_trial(rng, lambda gen: gen.standard_normal(n_rounds))
+    quad = mean[np.arange(n_rounds), x] + sd * noise
     return (quad < 0.0).astype(np.int64)
 
 
@@ -446,16 +483,18 @@ def _pair_law(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
     return mean_b, np.sqrt(var_b), rho, rho_c
 
 
-def _pair_outputs(law: tuple, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _pair_outputs(law: tuple, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sign bits (u, v), 1 for a nonnegative quadrature, for the entangled
-    symbol under the rounds' `_pair_law`."""
+    symbol under the rounds' `_pair_law`; with a sequence of generators
+    (`_per_trial`), one row per trial. Each generator draws z1, then z2,
+    then (thermal source) the coins."""
     mean_b, sd_b, rho, rho_c = law
     n_rounds = mean_b.shape[0]
-    z1 = rng.standard_normal(n_rounds)
-    z2 = rng.standard_normal(n_rounds)
+    z1 = _per_trial(rng, lambda gen: gen.standard_normal(n_rounds))
+    z2 = _per_trial(rng, lambda gen: gen.standard_normal(n_rounds))
     if rho_c is None:
         # unentangled substitute: same receiver marginal, sender tosses a coin
-        u = rng.integers(0, 2, size=n_rounds, dtype=np.int64)
+        u = _per_trial(rng, lambda gen: gen.integers(0, 2, size=n_rounds, dtype=np.int64))
         quad_b = mean_b + sd_b * z2
         return u, (quad_b >= 0.0).astype(np.int64)
     quad_b = mean_b + sd_b * (rho * z1 + rho_c * z2)
@@ -611,24 +650,31 @@ _RUN_CACHES = (_leaf_tables, _frame_layout, _block_plan, _vote_tables, _data_blo
 
 
 def run_correlation_phase(strategy: JammerStrategy, config: SimConfig,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-bit pairs (u, v) from the k/2 uses of the entangled symbol."""
+                          rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-bit pairs (u, v) from the k/2 uses of the entangled symbol.
+
+    `rng` is one trial's generator, or a sequence of them, one per trial of
+    a chunk; u and v then have a leading trial axis, and row i is what
+    rng[i] alone would give.
+    """
     return _pair_outputs(_leaf_tables(strategy, config).pair, rng)
 
 
 def _slot_sums(terms: np.ndarray, width: int) -> np.ndarray:
-    """sums[s] = the sum of terms[j] over the rounds j with j % width == s, in
-    int64: the rounds as a (passes, width, ...) view, zero-padded to whole
-    passes when width does not divide them, summed over the passes."""
-    pad = -len(terms) % width
+    """sums[..., s, :, :] = the sum of terms[..., j, :, :] over the rounds j
+    with j % width == s, in int64: the rounds as a (passes, width) view,
+    zero-padded to whole passes when width does not divide them, summed over
+    the passes."""
+    lead, rounds, tail = terms.shape[:-3], terms.shape[-3], terms.shape[-2:]
+    pad = -rounds % width
     if pad:
-        terms = np.concatenate([terms, np.zeros((pad,) + terms.shape[1:], dtype=terms.dtype)])
-    return terms.reshape((-1, width) + terms.shape[1:]).sum(axis=0, dtype=np.int64)
+        terms = np.concatenate([terms, np.zeros(lead + (pad,) + tail, dtype=terms.dtype)],
+                               axis=-3)
+    return terms.reshape(lead + (-1, width) + tail).sum(axis=-4, dtype=np.int64)
 
 
 def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrategy,
-                 config: SimConfig, seed_bits: np.ndarray,
-                 rng: np.random.Generator) -> dict:
+                 config: SimConfig, seed_bits: np.ndarray, rng) -> dict:
     """Transfer `seed_bits` by repetition over the XOR-corrected channel.
 
     Each round carries one frame slot (seed bits plus a final parity slot).
@@ -642,29 +688,39 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     lowest leaf), and a slot decodes to 1 only if its f = 1 sum is strictly
     larger. Agreement is checked via the parity slot and reported, not
     enforced. Bits of the wrong shape raise ValueError.
+
+    With a sequence of generators, one per trial of a chunk, the bits have a
+    leading trial axis, and so do the returned arrays ("parity_ok", "t_hat"
+    and "agree" are then arrays too); trial i's entries are those of a call
+    with its own rows and rng[i].
     """
+    lead = () if isinstance(rng, np.random.Generator) else (len(rng),)
     for name, bits, width in (("seed_bits", seed_bits, config.cr_seed_bits),
                               ("u_bits", u_bits, config.k // 2), ("v_bits", v_bits, config.k // 2)):
-        if np.shape(bits) != (width,):
-            raise ValueError(f"{name} must have shape ({width},), got {np.shape(bits)}")
+        if np.shape(bits) != lead + (width,):
+            raise ValueError(f"{name} must have shape {lead + (width,)}, got {np.shape(bits)}")
     slots, masks = _frame_layout(config)
-    frame = np.concatenate([seed_bits, [seed_bits.sum() % 2]])
-    x = frame[slots] ^ masks ^ u_bits
+    frame = np.concatenate([seed_bits, seed_bits.sum(axis=-1, keepdims=True) % 2], axis=-1)
+    x = frame[..., slots] ^ masks ^ u_bits
     y = _bpsk_outputs(x, _leaf_tables(strategy, config).transfer, rng)
     votes = y ^ masks ^ v_bits
     laws = _vote_tables(config)[0]
-    sums = _slot_sums(laws.q[2 * laws.labels + votes], len(frame))
-    best = sums.max(axis=2).sum(axis=0).argmax()
-    decoded = (sums[:, best, 1] > sums[:, best, 0]).astype(np.int64)
-    received = decoded[:-1]
-    parity_ok = bool(decoded[-1] == received.sum() % 2)
+    sums = _slot_sums(np.take(laws.q, 2 * laws.labels + votes, axis=0), frame.shape[-1])
+    best = sums.max(axis=-1).sum(axis=-2).argmax(axis=-1)
+    chosen = np.take_along_axis(sums, np.reshape(best, lead + (1, 1, 1)), axis=-2)[..., 0, :]
+    decoded = (chosen[..., 1] > chosen[..., 0]).astype(np.int64)
+    received = decoded[..., :-1]
+    parity_ok = decoded[..., -1] == received.sum(axis=-1) % 2
     # self-referential crossover estimate: votes against the decoded frame
-    t_hat = float((votes != decoded[slots]).mean())
+    t_hat = (votes != decoded[..., slots]).mean(axis=-1)
+    agree = (received == seed_bits).all(axis=-1)
+    if not lead:
+        parity_ok, t_hat, agree = bool(parity_ok), float(t_hat), bool(agree)
     return {
         "received": received,
         "parity_ok": parity_ok,
         "t_hat": t_hat,
-        "agree": bool(np.array_equal(received, seed_bits)),
+        "agree": agree,
     }
 
 
@@ -738,47 +794,84 @@ class _BlockLaws(NamedTuple):
     order, is an integer below 2^53 in magnitude, which float64 holds
     exactly (`_count_scores` relies on this); so is every slot's sum in
     `run_cr_phase`.
+
+    The rest is `schedule_set_decoder`'s plan, which depends on the block
+    alone. Class 2 g + b is the rounds of law g that received bit b. Each
+    nonzero word w of a law's mask is listed twice, once per class: entry j
+    is class pair_class[j] in word pair_word[j], with law mask pair_mask[j],
+    and pair_flip[j] all ones for b = 0 (so that the class mask is
+    pair_mask AND (y's word XOR pair_flip)). steps[h, c] = q[c, h, 1] -
+    q[c, h, 0] as float64, the matrix the count product reads, and
+    count_dtype the narrowest unsigned type that holds the block length.
     """
 
     labels: np.ndarray
     masks: np.ndarray
     q: np.ndarray
     shift: int
+    pair_class: np.ndarray
+    pair_word: np.ndarray
+    pair_mask: np.ndarray
+    pair_flip: np.ndarray
+    steps: np.ndarray
+    count_dtype: np.dtype
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(rows, axis=0, return_inverse=True)` of a 2-D array of finite
+    floats without a signed zero: the distinct rows in lexicographic order,
+    and each row's index among them. One `np.lexsort` gives it; `np.unique`
+    sorts the rows as structured scalars, 13 times slower on a 400-round
+    block of 4 leaves."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = np.cumsum(first) - 1
+    return ranked[first], labels
 
 
 def _block_laws(p1: np.ndarray) -> _BlockLaws:
     """The `_BlockLaws` of p1[h, i, x] = P(y_i = 1 | x) under leaf h."""
     n_leaves, length, _ = p1.shape
     rows = np.clip(p1, 1e-300, 1.0 - 1e-16).transpose(1, 0, 2).reshape(length, 2 * n_leaves)
-    laws, labels = np.unique(rows, axis=0, return_inverse=True)
-    labels = labels.reshape(-1)
+    laws, labels = _unique_rows(rows)
     masks = _words(labels == np.arange(len(laws))[:, None])
     ll = np.stack([_math_map(math.log1p, -laws), _math_map(math.log, laws)], axis=1)
     # fsum is exact, so the bound (and the shift) is that of the rounds in any order
     bound = math.fsum(np.abs(ll).max(axis=(1, 2))[labels].tolist())
     shift = 52 - math.frexp(bound)[1]
     q = np.rint(np.ldexp(ll, shift)).astype(np.int64).reshape(2 * len(laws), n_leaves, 2)
-    labels.flags.writeable = masks.flags.writeable = q.flags.writeable = False
-    return _BlockLaws(labels, masks, q, shift)
+    law, word = np.nonzero(masks)
+    bit = np.tile(np.arange(2), len(law))
+    plan = (2 * np.repeat(law, 2) + bit, np.repeat(word, 2), np.repeat(masks[law, word], 2),
+            np.where(bit == 0, np.uint64(_MASK64), np.uint64(0)),
+            np.ascontiguousarray((q[:, :, 1] - q[:, :, 0]).T, dtype=np.float64))
+    for a in (labels, masks, q, *plan):
+        a.flags.writeable = False
+    return _BlockLaws(labels, masks, q, shift, *plan, np.min_scalar_type(length))
 
 
-def _count_scores(codebook: np.ndarray, masks: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """scores[h, m] = sum_c n_c steps[c, h] as float64, n_c the set bits of
-    codeword m in class c, popcount(word AND masks[c]) summed over the
-    codeword's uint64 words (`masks` rows are `_words`).
+def _count_scores(codebook: np.ndarray, pairs, steps: np.ndarray,
+                  count_dtype: np.dtype) -> np.ndarray:
+    """scores[h, m] = sum_c n_c steps[h, c] as float64, n_c the set bits of
+    codeword m in class c: popcount(word w AND mask) summed over the
+    (c, w, mask) triples of `pairs`, w indexing the codeword's uint64 words
+    (the layout of `_words`) and mask a uint64.
 
-    The counts are kept in the narrowest unsigned type that holds the masks'
-    set bits (the block length, when the classes split its rounds), and the
-    sum is one float64 product, which is exact. Both log-likelihoods of a
-    round are <= 0, so |steps[c, h]| <= max(|q0|, |q1|) of its law, and
-    `_BlockLaws` keeps the rounds' summed largest |q| below 2^52 plus at
-    most L/2 from rounding. So every product n_c steps[c, h], and every
-    partial sum of them in any order, is an integer below 2^53, which
-    float64 holds exactly: no BLAS kernel, blocking, thread split or fused
-    multiply-add can round one, and the scores are the integer sums.
+    The counts are kept in `count_dtype`, which must hold each class's
+    count (the block length does), and the sum is one float64 product,
+    which is exact. Both log-likelihoods of a round are <= 0, so
+    |steps[h, c]| <= max(|q0|, |q1|) of its law, and `_BlockLaws` keeps the
+    rounds' summed largest |q| below 2^52 plus at most L/2 from rounding.
+    So every product n_c steps[h, c], and every partial sum of them in any
+    order, is an integer below 2^53, which float64 holds exactly: no BLAS
+    kernel, blocking, thread split or fused multiply-add can round one, and
+    the scores are the integer sums.
     """
     n_messages, row_bytes = codebook.shape
-    n_words = masks.shape[1]
+    n_words = -(-row_bytes // 8)
     flat = np.ascontiguousarray(codebook).reshape(-1)
     # words[w, m] is bytes 8w to 8w + 7 of row m. A row's last word runs on
     # into the next row, but those bits lie past the row's rounds, where no
@@ -792,37 +885,48 @@ def _count_scores(codebook: np.ndarray, masks: np.ndarray, steps: np.ndarray) ->
     words[:, :head] = np.ndarray((n_words, head), "<u8", flat, strides=(8, row_bytes))
     words[:, head:] = np.ndarray((n_words, n_messages - head), "<u8", tail,
                                  strides=(8, row_bytes))
-    counts = np.zeros((len(masks), n_messages),
-                      dtype=np.min_scalar_type(int(np.bitwise_count(masks).sum())))
+    counts = np.zeros((steps.shape[1], n_messages), dtype=count_dtype)
     word = np.empty(n_messages, dtype=np.uint64)
     ones = np.empty(n_messages, dtype=np.uint8)
-    classes, at = np.nonzero(masks)
-    for c, w, mask in zip(classes.tolist(), at.tolist(), masks[classes, at]):
+    for c, w, mask in pairs:
         np.bitwise_and(words[w], mask, out=word)
         count = counts[c]
         np.add(count, np.bitwise_count(word, out=ones), out=count)
-    return steps.T.astype(float) @ counts
+    return steps @ counts
 
 
-def _mixture_pick(scores: np.ndarray, shift: int) -> int:
+def _float_at_most(value: int) -> float:
+    """The largest float64 that is at most the integer `value`."""
+    nearest = float(value)
+    return nearest if nearest <= value else math.nextafter(nearest, -math.inf)
+
+
+def _mixture_pick(scores: np.ndarray, base: np.ndarray, shift: int) -> int:
     """The message whose leaf mixture log sum_h exp(s_h) is highest, s_h =
-    2^-shift scores[h, m]; an exact tie goes to the lowest index.
+    2^-shift (scores[h, m] + base[h]); an exact tie goes to the lowest index.
 
-    The scores are integers below 2^53 in magnitude (float64 holds them
-    exactly). A mixture lies in [max_h s_h, max_h s_h + log H]. So only
-    messages whose best leaf is within log H of the overall best (plus two
-    units, for the rounding of the mixing) can win, and only they are mixed,
-    with `math.exp` and `math.fsum`. That threshold can pass 2^53 in
-    magnitude, so it is taken on the per-message maxima in int64, where it
-    stays exact.
+    scores (float64) and base (int64) hold integers, and so does each sum,
+    all below 2^53 in magnitude (float64 holds the scores exactly). A
+    mixture lies in [max_h s_h, max_h s_h + log H]. So only messages whose
+    best leaf is within log H of the overall best (plus two units, for the
+    rounding of the mixing) can win, and only they are mixed, with
+    `math.exp` and `math.fsum`, from sums taken in Python integers. They are
+    found leaf by leaf, scores[h] against the threshold less base[h], so no
+    sum is formed over all messages. That threshold can pass 2^53 in
+    magnitude and is rounded down to a float, which can admit a message
+    just below the window; being below it, that message cannot win either.
     """
-    top = scores.max(axis=0).astype(np.int64)
-    window = math.ceil(math.ldexp(math.log(scores.shape[0]), shift)) + 2
-    near = np.flatnonzero(top >= top.max() - window)
+    base = base.tolist()
+    best = max(int(peak) + b for peak, b in zip(scores.max(axis=1).tolist(), base))
+    window = math.ceil(math.ldexp(math.log(len(base)), shift)) + 2
+    cuts = np.array([_float_at_most(best - window - b) for b in base])
+    near = np.flatnonzero((scores >= cuts[:, None]).any(axis=0))
     pick, pick_value = -1, -math.inf
-    for m, best, row in zip(near.tolist(), top[near].tolist(), scores[:, near].T.tolist()):
-        value = math.ldexp(best, -shift) + math.log(
-            math.fsum(math.exp(math.ldexp(s - best, -shift)) for s in row))
+    for m, column in zip(near.tolist(), scores[:, near].T.tolist()):
+        row = [int(s) + b for s, b in zip(column, base)]
+        top = max(row)
+        value = math.ldexp(top, -shift) + math.log(
+            math.fsum(math.exp(math.ldexp(s - top, -shift)) for s in row))
         if value > pick_value:
             pick, pick_value = m, value
     return pick
@@ -844,15 +948,18 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     A leaf's score is an exact integer, the sum of the rounds' fixed-point
     log-likelihoods (`_BlockLaws`): base_h + sum_c n_c d_{h,c} over the
     classes c (the rounds of one law that received one bit), with n_c =
-    popcount(codeword AND mask_c). The class masks are the law's word masks
-    AND y or AND NOT y, with y packed into words once. Codewords with equal
-    counts score equal. The sum over classes is a BLAS product, but of
-    integers that float64 holds exactly (`_count_scores`), and so is the
-    score with its base added, so no score or pick depends on the BLAS
-    kernel, its thread count or a SIMD path. `_mixture_pick`
-    mixes the leaves; an exact tie goes to the lowest message index. Each
-    class costs a pass over the codewords, so a block whose rounds all have
-    their own law (a `gaussian` leaf of many states) takes one pass per round.
+    popcount(codeword AND mask_c). The block's plan (its law word masks, the
+    d's as a float64 matrix and the count type) is built once with its laws,
+    which a run caches per block; a decode packs y into words once, takes
+    the class masks as law AND NOT y and law AND y, and counts the classes
+    that y leaves nonempty. Codewords with equal counts score equal. The sum
+    over classes is a BLAS product, but of integers that float64 holds
+    exactly (`_count_scores`), and base_h is added after it, so no score or
+    pick depends on the BLAS kernel, its thread count or a SIMD path.
+    `_mixture_pick` adds base_h and mixes the leaves; an exact tie goes to
+    the lowest message index. Each class costs a pass over the codewords, so a block
+    whose rounds all have their own law (a `gaussian` leaf of many states)
+    takes one pass per round.
     """
     if not isinstance(laws, _BlockLaws):
         laws = _block_laws(laws)
@@ -863,19 +970,20 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     if y.shape != (length,):
         raise ValueError(f"y must hold one output per round, {length}, got shape {y.shape}")
-    ones = _words(y == 1)
-    # class 2 g + b: the rounds of law g that received bit b
-    masks = np.empty((len(laws.masks), 2, ones.size), dtype=np.uint64)
-    np.bitwise_and(laws.masks, ones, out=masks[:, 1])
-    np.bitwise_xor(laws.masks, masks[:, 1], out=masks[:, 0])
-    masks = masks.reshape(len(laws.q), -1)
-    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+    ones = y == 1
+    sizes = np.bincount(2 * laws.labels + ones, minlength=len(laws.q))
     present = np.flatnonzero(sizes)
-    q = laws.q[present]
-    base = (sizes[present, None] * q[:, :, 0]).sum(axis=0)
-    scores = _count_scores(codebook, masks[present], q[:, :, 1] - q[:, :, 0])
-    scores += base[:, None]
-    return _mixture_pick(scores, laws.shift)
+    masks = laws.pair_mask & (_words(ones)[laws.pair_word] ^ laws.pair_flip)
+    live = masks != 0
+    # count row i is class present[i], whose steps are column i
+    rows = np.searchsorted(present, laws.pair_class[live])
+    scores = _count_scores(codebook, zip(rows.tolist(), laws.pair_word[live].tolist(),
+                                         masks[live]),
+                           laws.steps[:, present], laws.count_dtype)
+    # base after the product, not inside it: base and the product's terms are
+    # each below 2^52 + L/2 in magnitude, and so is a score, but a partial sum
+    # of base and some of the terms can pass 2^53
+    return _mixture_pick(scores, sizes @ laws.q[:, :, 0], laws.shift)
 
 
 def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
@@ -983,37 +1091,58 @@ def symmetrizing_attack_error(codebook: np.ndarray, decoder: np.ndarray,
 # --- orchestration -----------------------------------------------------------
 
 
+# trials per task, the same for every worker count: a chunk of one leaf's
+# trials runs its side phases as arrays with a leading trial axis
+_CHUNK = 8
+
+
 def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
-               trial: int) -> dict:
+               trials: range) -> list[dict]:
+    """The records of a chunk of one leaf's trials, in trial order.
+
+    Each trial draws every stream from its own `_rng` key, so a record does
+    not depend on the chunk it ran in. Phase 1 and the seed transfer take
+    the chunk's generators at once (`run_correlation_phase`, `run_cr_phase`);
+    the data phase runs one trial at a time.
+    """
     seed = config.master_seed
+
+    def rngs(tag: int) -> list[np.random.Generator]:
+        return [_rng(seed, strategy_idx, trial, tag) for trial in trials]
+
     if config.code_mode == "correlation-assisted":
-        u_bits, v_bits = run_correlation_phase(
-            strategy, config, _rng(seed, strategy_idx, trial, _TAG_PHASE1))
-        sender_seed = _rng(seed, strategy_idx, trial, _TAG_SEED).integers(
-            0, 2, size=config.cr_seed_bits, dtype=np.int64)
-        cr = run_cr_phase(u_bits, v_bits, strategy, config, sender_seed,
-                          _rng(seed, strategy_idx, trial, _TAG_PHASE2))
+        u_bits, v_bits = run_correlation_phase(strategy, config, rngs(_TAG_PHASE1))
+        sender_seed = _per_trial(rngs(_TAG_SEED), lambda gen: gen.integers(
+            0, 2, size=config.cr_seed_bits, dtype=np.int64))
+        cr = run_cr_phase(u_bits, v_bits, strategy, config, sender_seed, rngs(_TAG_PHASE2))
     else:
         # no side phase: both ends hold a free seed, of no width in
         # deterministic mode, as if a flawless transfer had delivered it
         width = config.cr_seed_bits if config.code_mode == "common-randomness" else 0
-        sender_seed = _rng(seed, strategy_idx, trial, _TAG_FREE_SEED).integers(
-            0, 2, size=width, dtype=np.int64)
-        cr = {"received": sender_seed, "agree": True, "parity_ok": True, "t_hat": 0.0}
-    message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
-        0, 2, size=sum(bits for _, bits in _block_plan(config)), dtype=np.int64)
-    decoded = run_data_phase(message, sender_seed, cr["received"], strategy, config,
-                             strategy_idx, trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
-    return {
-        "strategy": strategy.label,
-        "trial": trial,
-        "message_ok": bool(np.array_equal(message, decoded)),
-        "bit_errors": int((message != decoded).sum()),
-        "message_bits": int(len(message)),
-        "seed_ok": cr["agree"],
-        "parity_ok": cr["parity_ok"],
-        "t_hat": cr["t_hat"],
-    }
+        sender_seed = _per_trial(rngs(_TAG_FREE_SEED), lambda gen: gen.integers(
+            0, 2, size=width, dtype=np.int64))
+        cr = {"received": sender_seed, "agree": np.ones(len(trials), dtype=bool),
+              "parity_ok": np.ones(len(trials), dtype=bool), "t_hat": np.zeros(len(trials))}
+    message_bits = sum(bits for _, bits in _block_plan(config))
+    records = []
+    for trial, sent, received, agree, parity_ok, t_hat in zip(
+            trials, sender_seed, cr["received"], cr["agree"].tolist(), cr["parity_ok"].tolist(),
+            cr["t_hat"].tolist()):
+        message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
+            0, 2, size=message_bits, dtype=np.int64)
+        decoded = run_data_phase(message, sent, received, strategy, config, strategy_idx, trial,
+                                 _rng(seed, strategy_idx, trial, _TAG_PHASE3))
+        records.append({
+            "strategy": strategy.label,
+            "trial": trial,
+            "message_ok": bool(np.array_equal(message, decoded)),
+            "bit_errors": int((message != decoded).sum()),
+            "message_bits": int(len(message)),
+            "seed_ok": agree,
+            "parity_ok": parity_ok,
+            "t_hat": t_hat,
+        })
+    return records
 
 
 def trials_to_csv(records: Sequence[dict], fh: TextIO) -> None:
@@ -1033,7 +1162,8 @@ def _check_workers(workers) -> None:
 
 
 def _pool_size(requested: int, tasks: int) -> int:
-    """Worker processes worth starting: no more than tasks or CPUs, at least 1."""
+    """Worker processes worth starting: no more than tasks (chunks of trials)
+    or CPUs, at least 1."""
     return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
@@ -1048,14 +1178,14 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
     _check_workers(workers)
     leaves = config.jammer.leaves()
     tasks = [
-        (config, leaf, si, t)
+        (config, leaf, si, range(t, min(t + _CHUNK, config.trials)))
         for si, leaf in enumerate(leaves)
-        for t in range(config.trials)
+        for t in range(0, config.trials, _CHUNK)
     ]
     workers = _pool_size(workers, len(tasks))
     try:
         if workers == 1:
-            records = [_run_trial(*task) for task in tasks]
+            chunks = [_run_trial(*task) for task in tasks]
         else:
             # imported here: multiprocessing costs every process that never
             # opens a pool about 2 MB of resident memory
@@ -1063,13 +1193,14 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
 
             # map returns results in task order, whatever order they finish in
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_trial, *zip(*tasks), chunksize=8))
+                chunks = list(pool.map(_run_trial, *zip(*tasks)))
         crossovers = (_vote_tables(config)[1] if config.code_mode == "correlation-assisted"
                       else (None,) * len(leaves))
     finally:
         # the tables are the run's: none outlives it (each worker's die with it)
         for cache in _RUN_CACHES:
             cache.cache_clear()
+    records = [record for chunk in chunks for record in chunk]
     per_strategy = {}
     failures = []
     for si, leaf in enumerate(leaves):

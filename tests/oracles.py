@@ -62,11 +62,22 @@ from avcsim.geometry import (
 from avcsim.protocol import (
     _MASK64,
     _TAG_CODEBOOK,
+    _TAG_FREE_SEED,
+    _TAG_MESSAGE,
+    _TAG_PHASE1,
+    _TAG_PHASE2,
+    _TAG_PHASE3,
+    _TAG_SEED,
     JammerStrategy,
     SimConfig,
+    _block_plan,
     _bpsk_flip_table,
     _bpsk_law,
     _pair_joint_table,
+    _rng,
+    run_correlation_phase,
+    run_cr_phase,
+    run_data_phase,
 )
 
 _SQRT_PI = 1.7724538509055160273
@@ -213,6 +224,39 @@ def random_codebook_reference(n_messages: int, length: int, master_seed: int,
             row.append((byte >> (i % 8)) & 1)
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(n_messages, length)
+
+
+def trial_record_reference(config: SimConfig, leaf: JammerStrategy, strategy_idx: int,
+                           trial: int) -> dict:
+    """`simulate`'s record of one trial, from one-trial calls of the public
+    phases, each with the trial's own generator for its stream."""
+    seed = config.master_seed
+    if config.code_mode == "correlation-assisted":
+        u_bits, v_bits = run_correlation_phase(leaf, config,
+                                               _rng(seed, strategy_idx, trial, _TAG_PHASE1))
+        sender_seed = _rng(seed, strategy_idx, trial, _TAG_SEED).integers(
+            0, 2, size=config.cr_seed_bits, dtype=np.int64)
+        cr = run_cr_phase(u_bits, v_bits, leaf, config, sender_seed,
+                          _rng(seed, strategy_idx, trial, _TAG_PHASE2))
+    else:
+        width = config.cr_seed_bits if config.code_mode == "common-randomness" else 0
+        sender_seed = _rng(seed, strategy_idx, trial, _TAG_FREE_SEED).integers(
+            0, 2, size=width, dtype=np.int64)
+        cr = {"received": sender_seed, "agree": True, "parity_ok": True, "t_hat": 0.0}
+    message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
+        0, 2, size=sum(bits for _, bits in _block_plan(config)), dtype=np.int64)
+    decoded = run_data_phase(message, sender_seed, cr["received"], leaf, config, strategy_idx,
+                             trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
+    return {
+        "strategy": leaf.label,
+        "trial": trial,
+        "message_ok": bool(np.array_equal(message, decoded)),
+        "bit_errors": int((message != decoded).sum()),
+        "message_bits": int(len(message)),
+        "seed_ok": cr["agree"],
+        "parity_ok": cr["parity_ok"],
+        "t_hat": cr["t_hat"],
+    }
 
 
 def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,

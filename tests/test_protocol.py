@@ -4,7 +4,11 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -37,6 +41,7 @@ from avcsim.protocol import (
     _block_laws,
     _block_plan,
     _bpsk_law,
+    _bpsk_flip_table,
     _bpsk_outputs,
     _count_scores,
     _data_block_laws,
@@ -58,6 +63,7 @@ from oracles import (
     repetition_majority_error,
     schedule_set_decoder_reference,
     schedule_set_exact_scores,
+    trial_record_reference,
     vote_model_reference,
 )
 
@@ -595,6 +601,67 @@ def test_schedule_set_decoder_reads_the_last_rows_words(length):
             assert pick == schedule_set_decoder_reference(bits, y, p1)
 
 
+def _plan_edge_case(case: str, rng: np.random.Generator) -> tuple:
+    """(p1, y, laws) of a decode-plan edge; laws is None where the decoder
+    builds them from p1, else the run's cached laws of the block."""
+    three = rng.uniform(0.02, 0.98, (3, 3, 2))  # 3 leaves, 3 laws in turn
+    if case == "gaussian-130":
+        # one law per round: 130 classes, one round each
+        states = [JammerGaussian(A=0.5 + 0.01 * i, B=0.5, a=0.01 * i - 0.6) for i in range(130)]
+        jam = JammerStrategy.worst_of([JammerStrategy.from_symbols((2,)),
+                                       JammerStrategy.from_states(states)])
+        cfg = SimConfig(alpha=1.0, n=1024, k=0, rate=0.1, jammer=jam,
+                        code_mode="common-randomness")
+        assert _block_plan(cfg)[0] == (130, 13)
+        p1 = np.stack([_bpsk_flip_table(*protocol._leaf_tables(leaf, cfg).data)[:130]
+                       for leaf in jam.leaves()])
+        laws = _data_block_laws(cfg)[0]
+        assert len(np.unique(laws.labels)) == 130
+        return p1, rng.integers(0, 2, 130), laws
+    length = {"y-all-0": 130, "y-all-1": 130, "one-round": 1, "last-word-one-round": 129}[case]
+    p1 = three[:, np.arange(length) % 3]
+    y = {"y-all-0": np.zeros(length, dtype=np.int64),
+         "y-all-1": np.ones(length, dtype=np.int64)}.get(case, rng.integers(0, 2, length))
+    return p1, y, None
+
+
+@pytest.mark.parametrize("case", ["y-all-0", "y-all-1", "one-round", "last-word-one-round",
+                                  "gaussian-130"])
+def test_decode_plan_edges_match_the_round_by_round_reference(case, monkeypatch):
+    """Each score is the Python-int sum of the rounds' fixed-point
+    log-likelihoods, and each pick the round-by-round oracle's: with half
+    the classes empty (y all 0 or all 1), a 1-round block, a block whose
+    last word holds one round, and one class per round."""
+    rng = np.random.default_rng(len(case))
+    scores = []
+    real = protocol._mixture_pick
+
+    def recording(product, base, shift):
+        scores.append([[int(s) + b for s in row] for row, b in zip(product.tolist(),
+                                                                    base.tolist())])
+        return real(product, base, shift)
+
+    monkeypatch.setattr(protocol, "_mixture_pick", recording)
+    try:
+        for _ in range(4):
+            p1, y, laws = _plan_edge_case(case, rng)
+            laws = _block_laws(p1) if laws is None else laws
+            length = len(y)
+            bits = rng.integers(0, 2, (64, length))
+            # the received word, a near miss and an exact tie with a later row
+            bits[5], bits[9] = y, y
+            bits[7] = y ^ (np.arange(length) == length - 1)
+            pick = schedule_set_decoder(_pack(bits), y, laws)
+            assert pick == schedule_set_decoder_reference(bits, y, p1)
+            q, labels = laws.q.tolist(), laws.labels.tolist()
+            exact = [[sum(q[2 * g + b][h][x] for g, b, x in zip(labels, y.tolist(), word))
+                      for word in bits.tolist()] for h in range(p1.shape[0])]
+            assert scores.pop() == exact
+    finally:
+        for cache in protocol._RUN_CACHES:
+            cache.cache_clear()
+
+
 def test_schedule_set_decoder_wants_one_output_per_round():
     p1 = np.full((1, 9, 2), 0.3)
     codebook = _pack(np.zeros((4, 9), dtype=np.int64))
@@ -646,6 +713,31 @@ def test_schedule_set_decoder_breaks_an_exact_tie_to_the_lowest_index(first, sec
     assert schedule_set_decoder(_pack(codebook), y, p1) == first
 
 
+def test_unique_rows_equal_numpy_unique_along_axis_0():
+    """The block laws' dedupe gives np.unique's distinct rows, in its order,
+    and its inverse, on rows with many repeats and ties in leading columns."""
+    rng = np.random.default_rng(2022)
+    values = np.array([1e-300, 1e-17, 0.25, 0.5, 0.75, 1.0 - 1e-16])
+    for n_rows, n_cols, n_values in ((1, 2, 6), (7, 1, 2), (400, 8, 2), (130, 10, 3),
+                                     (300, 4, 6), (64, 2, 1)):
+        rows = rng.choice(values[:n_values], size=(n_rows, n_cols))
+        laws, labels = protocol._unique_rows(rows)
+        expected, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(laws, expected) and laws.dtype == expected.dtype
+        assert labels.tolist() == inverse.reshape(-1).tolist()
+
+
+def _class_pairs(round_class: np.ndarray, present: np.ndarray, steps: np.ndarray) -> tuple:
+    """`_count_scores`' arguments after the codebook for the classes `present`
+    (steps[i] is class present[i]'s), from each round's class: the nonzero
+    words of each class's `_words` mask, the steps as (leaves, classes)
+    float64 and the count type of the block length."""
+    masks = _words(round_class == present[:, None])
+    classes, at = np.nonzero(masks)
+    return (zip(classes.tolist(), at.tolist(), masks[classes, at]), steps.T.astype(float),
+            np.min_scalar_type(len(round_class)))
+
+
 def test_count_scores_equal_the_round_by_round_integer_sum():
     """The class-count kernel adds up the fixed-point log-likelihoods to the
     round-by-round integer sum, with one class per round or a few shared."""
@@ -660,7 +752,7 @@ def test_count_scores_equal_the_round_by_round_integer_sum():
             round_class = 2 * laws.labels + y
             present = np.unique(round_class)
             steps = laws.q[present, :, 1] - laws.q[present, :, 0]
-            counted = _count_scores(_pack(bits), _words(round_class == present[:, None]), steps)
+            counted = _count_scores(_pack(bits), *_class_pairs(round_class, present, steps))
             per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
             exact = (bits.astype(object) @ per_round.astype(object)).T
             # float64 against Python ints: == is exact both ways
@@ -691,7 +783,7 @@ def test_count_scores_stay_exact_at_the_float64_edge(length):
         round_class = 2 * laws.labels + y
         present = np.unique(round_class)
         steps = laws.q[present, :, 1] - laws.q[present, :, 0]
-        counted = _count_scores(_pack(bits), _words(round_class == present[:, None]), steps)
+        counted = _count_scores(_pack(bits), *_class_pairs(round_class, present, steps))
         per_round = laws.q[round_class, :, 1] - laws.q[round_class, :, 0]
         exact = (bits.astype(object) @ per_round.astype(object)).T
         assert counted.dtype == np.float64 and counted.tolist() == exact.tolist()
@@ -1076,6 +1168,84 @@ def test_simulate_report_shape_and_worker_determinism():
         1.0 - binary_entropy(min(max(rep1.estimated_crossover, 0.0), 0.5)))
     rep2 = simulate(cfg, workers=2)
     assert json.dumps(rep1.to_json_dict()) == json.dumps(rep2.to_json_dict())
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8, 11])
+@pytest.mark.parametrize("source, mode", [("tmsv", "correlation-assisted"),
+                                          ("thermal", "correlation-assisted"),
+                                          ("tmsv", "common-randomness"),
+                                          ("tmsv", "deterministic")])
+def test_chunked_trials_equal_one_trial_phase_calls(monkeypatch, source, mode, trials):
+    """A leaf's trials run in chunks of up to 8 (11 trials: one full chunk
+    and one part chunk); every record equals the one built from one-trial
+    calls of the public phases, whatever chunk the trial ran in, and the
+    report does not depend on the worker count."""
+    # a cyclic leaf and a gaussian one; k/2 = 31 rounds carry a 4-slot frame
+    # in 7 passes and a part pass
+    jam = _SEED_JAMMERS["cyclic-and-gaussian"]
+    side = mode == "correlation-assisted"
+    cfg = SimConfig(alpha=1.1, n=200, k=62 if side else 0, rate=0.2, jammer=jam, source=source,
+                    code_mode=mode, master_seed=2011, trials=trials, cr_seed_bits=3)
+    assert not side or (cfg.k // 2) % (cfg.cr_seed_bits + 1) != 0
+    expected = [trial_record_reference(cfg, leaf, si, t)
+                for si, leaf in enumerate(jam.leaves()) for t in range(trials)]
+    report = simulate(cfg)
+    # repr tells a numpy bool or float from a Python one
+    assert repr(list(report.per_trial)) == repr(expected)
+    if trials == 11:
+        assert repr(protocol._run_trial(cfg, jam.leaves()[1], 1, range(0, 11))) == \
+            repr(expected[11:])
+        assert repr(protocol._run_trial(cfg, jam.leaves()[0], 0, range(5, 8))) == \
+            repr(expected[5:8])
+        if side:
+            # four chunk tasks over a pool of two processes
+            monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+            assert json.dumps(simulate(cfg, workers=2).to_json_dict()) == \
+                json.dumps(report.to_json_dict())
+
+
+def test_equal_configs_hash_equal_and_a_pickle_drops_the_cached_hash(tmp_path):
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=36, cr_seed_bits=3)
+    twin = SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+    assert twin == cfg and twin is not cfg and hash(twin) == hash(cfg)
+    for obj in (cfg, cfg.jammer, cfg.jammer.leaves()[0]):
+        assert "_hash" in vars(obj)
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and "_hash" not in vars(copy) and hash(copy) == hash(obj)
+    # `str` hashes are salted per process: unpickled under another salt, the
+    # config hashes as an equal config built there does
+    path = tmp_path / "config.pickle"
+    path.write_bytes(pickle.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="8" if os.environ.get("PYTHONHASHSEED") == "7" else "7")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (os.environ.get("PYTHONPATH"),) if p])
+    code = ("import pickle, sys; from avcsim import SimConfig; "
+            "c = pickle.loads(open(sys.argv[1], 'rb').read()); "
+            "print(hash(c) == hash(SimConfig.from_json_dict(c.to_json_dict())), hash(c))")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    same, there = proc.stdout.split()
+    assert same == "True" and int(there) != hash(cfg)
+
+
+def test_a_replaced_config_gets_its_own_cache_entry():
+    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=37, cr_seed_bits=3)
+    leaf = cfg.jammer.leaves()[2]
+    protocol._leaf_tables.cache_clear()
+    try:
+        first = protocol._leaf_tables(leaf, cfg)
+        louder = dataclasses.replace(cfg, alpha=1.5)
+        assert "_hash" in vars(cfg) and "_hash" not in vars(louder)
+        second = protocol._leaf_tables(leaf, louder)
+        assert protocol._leaf_tables.cache_info().currsize == 2
+        assert not np.array_equal(first.data[0], second.data[0])
+        # an equal config built afresh finds the first entry
+        assert protocol._leaf_tables(leaf, dataclasses.replace(louder, alpha=1.0)) is first
+    finally:
+        protocol._leaf_tables.cache_clear()
 
 
 def test_wilson_interval_matches_hand_computed_values():
