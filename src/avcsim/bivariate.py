@@ -15,7 +15,12 @@ about |rho| = 1 plus a corrected remainder integral above that.
 `quadrant_laws` is its batch call at h = 0: arrays of standardized receiver
 means b and correlations rho in, (N, 2, 2) laws out, with
 `quadrant_distribution` as its one-row call. `bivariate_normal_cdf` is the
-kernel's one-row call at general (x, y).
+kernel's one-row call at general (x, y). The node tables (sin(t asin rho)
+and cos^2 below the switch, the remainder's abscissae above it) depend on
+rho alone; a batch builds them once per distinct rho and gathers them per
+point. The states of one jammer-grid row (one A) share rho, so at resolution
+64 a table serves about 60 points. Every elementwise operation is the
+per-point one, so the bits are too.
 """
 
 from __future__ import annotations
@@ -193,6 +198,14 @@ class BinaryJointDist:
         return self.q01 + self.q11
 
 
+def _distinct_bits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float64 bit patterns of x as floats (so -0.0 and +0.0, and
+    NaNs of different payloads, stay apart), and each element's index among
+    them."""
+    keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    return keys.view(float), inverse
+
+
 def _upper_orthant(h, k, rho, phi_mh, phi_mk) -> np.ndarray:
     """P(X > h, Y > k) for standard normals with correlation rho, elementwise.
 
@@ -220,9 +233,16 @@ def _orthant_far(h, k, rho, phi_mh, phi_mk):
     k = np.clip(k, -_GAP_CAP, _GAP_CAP)
     hk = (h * k)[:, None]
     hs = ((h * h + k * k) / 2.0)[:, None]
-    asr = np.arcsin(rho)
+    rhos, inverse = _distinct_bits(rho)
+    asr = np.arcsin(rhos)
     sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
-    f = np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    asr, f, cos2 = (np.take(t, inverse, axis=0) for t in (asr, sn, 1.0 - sn * sn))
+    # f = exp((sn hk - hs) / cos2) in place: a fresh N x 20 temporary per step
+    # would cost more in page faults than its arithmetic
+    f *= hk
+    f -= hs
+    f /= cos2
+    np.exp(f, out=f)
     return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
 
 
@@ -234,19 +254,22 @@ def _orthant_near(h, k, rho, phi_mh, phi_mk):
     hk = h * k
     abs_b = np.minimum(np.abs(h - k), _GAP_CAP)
     bs = abs_b * abs_b
-    one_m = (1.0 - np.abs(rho)) * (1.0 + np.abs(rho))
+    rhos, inverse = _distinct_bits(rho)
+    one_m = (1.0 - np.abs(rhos)) * (1.0 + np.abs(rhos))
     a = np.sqrt(one_m)
+    xs = np.multiply.outer(a, _UNIT_NODES) ** 2
+    rs = np.sqrt(1.0 - xs)
+    one_m, a, xs, rs, rs2 = (np.take(t, inverse, axis=0)
+                               for t in (one_m, a, xs, rs, (1.0 + rs) ** 2))
     c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 16.0
     v = a * np.exp(-0.5 * bs / one_m - 0.5 * hk) * (
         1.0 - c * (bs - one_m) * (1.0 - d * bs / 5.0) / 3.0 + c * d * one_m * one_m / 5.0)
     v -= (math.sqrt(2.0 * math.pi) * std_normal_cdf_array(-abs_b / a) * abs_b
           * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0) * np.exp(-0.5 * hk))
     half = 0.5 * a
-    xs = np.multiply.outer(a, _UNIT_NODES) ** 2
-    rs = np.sqrt(1.0 - xs)
     hk, c, d = hk[:, None], c[:, None], d[:, None]
     g = np.exp(-0.5 * bs[:, None] / xs - 0.5 * hk) * (
-        np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs - (1.0 + c * xs * (1.0 + d * xs)))
+        np.exp(-0.5 * hk * xs / rs2) / rs - (1.0 + c * xs * (1.0 + d * xs)))
     v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
     # rho < 0 tail: max(0, Phi(-h) - Phi(k)), in a form exact at h = 0
     tail = np.maximum((phi_mh - 0.5) + (phi_mk - 0.5), 0.0)

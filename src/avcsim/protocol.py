@@ -583,11 +583,12 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
     """qa[i, u, v] = joint law of the sign-bit pair under round i's jammer state.
 
     Only the x-quadrature moments (A, a) enter, so states are deduplicated on
-    that pair and the laws come from one `quadrant_laws` call. The thermal
-    source keeps the receiver marginal but carries no correlation: the
-    sender's bit is an independent coin.
+    that pair (with -0.0 folded into +0.0, which gives the same law) and the
+    laws come from one `quadrant_laws` call. The thermal source keeps the
+    receiver marginal but carries no correlation: the sender's bit is an
+    independent coin.
     """
-    keys, inverse = np.unique(np.column_stack([big_a, disp]), axis=0, return_inverse=True)
+    keys, inverse = _unique_rows(np.column_stack([big_a, disp]) + 0.0)
     mean_b, var_b, rho = receiver_port_moments(keys[:, 0], keys[:, 1], config.squeezing,
                                                config.eta)
     b = mean_b / np.sqrt(var_b)
@@ -598,7 +599,7 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
         table[:, :, 1] = 0.5 * pv1[:, None]
     else:
         table = quadrant_laws(b, rho)
-    return table[inverse.reshape(-1)]
+    return table[inverse]
 
 
 def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:

@@ -8,7 +8,8 @@ standard errors. The packed codebook stream is rebuilt bit by bit, and the
 decoder is rerun round by round in Python integers, with no classes. The
 rational simplex is the one the integer-preserving simplex replaced, the
 adaptive quadrature and the h = 0 kernel are the bivariate CDFs that the
-general-(h, k) kernel replaced, and the scalar sweep, the per-key grid
+general-(h, k) kernel replaced, the per-point kernel is the one that the
+per-correlation node tables replaced, and the scalar sweep, the per-key grid
 deduplication and the per-row CSV writer at the end are the per-state
 routes that the package's array sweep replaced. The Python-float binarized
 correlation and mutual information are the scalar bodies that became one-row
@@ -29,6 +30,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from avcsim.bivariate import (
+    _GAP_CAP,
     RHO_LIMIT,
     BinaryJointDist,
     BivariateGaussian,
@@ -580,6 +582,56 @@ def orthant_at_origin_reference(b: np.ndarray, rho: np.ndarray,
     phi = phi_mb[near]
     out[near] = np.where(rn > 0.0, v + np.minimum(phi, 0.5), np.maximum(phi - 0.5, 0.0) - v)
     return out
+
+
+def upper_orthant_per_point(h, k, rho, phi_mh, phi_mk) -> np.ndarray:
+    """`bivariate._upper_orthant` as it was before it built the node tables
+    once per distinct rho: both branches compute every node at every point."""
+    out = np.empty_like(h)
+    near = np.abs(rho) >= 0.925
+    far = ~near
+    out[far] = orthant_far_per_point(h[far], k[far], rho[far], phi_mh[far], phi_mk[far])
+    out[near] = orthant_near_per_point(h[near], k[near], rho[near], phi_mh[near], phi_mk[near])
+    return out
+
+
+def orthant_far_per_point(h, k, rho, phi_mh, phi_mk):
+    # Phi(-h) Phi(-k) + (1/2pi) int_0^{asin rho} exp((hk sin t - hs) / cos^2 t) dt
+    h = np.clip(h, -_GAP_CAP, _GAP_CAP)
+    k = np.clip(k, -_GAP_CAP, _GAP_CAP)
+    hk = (h * k)[:, None]
+    hs = ((h * h + k * k) / 2.0)[:, None]
+    asr = np.arcsin(rho)
+    sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
+    f = np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
+
+
+def orthant_near_per_point(h, k, rho, phi_mh, phi_mk):
+    # |rho| -> 1: closed-form leading terms, then the remainder integral over
+    # x in [0, sqrt(1 - rho^2)], where it is smooth. For rho < 0 the
+    # expansion is about Y = -X, so k changes sign.
+    k = np.where(rho > 0.0, k, -k)
+    hk = h * k
+    abs_b = np.minimum(np.abs(h - k), _GAP_CAP)
+    bs = abs_b * abs_b
+    one_m = (1.0 - np.abs(rho)) * (1.0 + np.abs(rho))
+    a = np.sqrt(one_m)
+    c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 16.0
+    v = a * np.exp(-0.5 * bs / one_m - 0.5 * hk) * (
+        1.0 - c * (bs - one_m) * (1.0 - d * bs / 5.0) / 3.0 + c * d * one_m * one_m / 5.0)
+    v -= (math.sqrt(2.0 * math.pi) * std_normal_cdf_array(-abs_b / a) * abs_b
+          * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0) * np.exp(-0.5 * hk))
+    half = 0.5 * a
+    xs = np.multiply.outer(a, _UNIT_NODES) ** 2
+    rs = np.sqrt(1.0 - xs)
+    hk, c, d = hk[:, None], c[:, None], d[:, None]
+    g = np.exp(-0.5 * bs[:, None] / xs - 0.5 * hk) * (
+        np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs - (1.0 + c * xs * (1.0 + d * xs)))
+    v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
+    # rho < 0 tail: max(0, Phi(-h) - Phi(k)), in a form exact at h = 0
+    tail = np.maximum((phi_mh - 0.5) + (phi_mk - 0.5), 0.0)
+    return np.where(rho > 0.0, v + np.minimum(phi_mh, phi_mk), tail - v)
 
 
 def bivariate_normal_cdf_mp(x: float, y: float, rho: float, dps: int = 30) -> float:

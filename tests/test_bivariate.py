@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from avcsim.bivariate import (
     RHO_LIMIT,
+    _upper_orthant,
     BinaryJointDist,
     BivariateGaussian,
     arcsine_law,
@@ -38,6 +39,7 @@ from oracles import (
     orthant_at_origin_reference,
     quadrant_distribution_adaptive,
     std_cdf_oracle,
+    upper_orthant_per_point,
 )
 
 # The kernel's measured absolute error against the 30-digit reference.
@@ -300,6 +302,43 @@ def test_quadrant_kernel_matches_h0_reference_bit_for_bit():
     q00 = quadrant_laws(b, rho)[:, 0, 0]
     ref = np.clip(orthant_at_origin_reference(b, rho, std_normal_cdf_array(-b)), 0.0, 1.0)
     assert q00.tobytes() == ref.tobytes()
+
+
+def _grid_like_rows(rng, repeats=60):
+    """Rows shaped like the jammer grid's: 60 distinct correlations, each
+    repeated, in shuffled order. They fall on both sides of the 0.925 switch and
+    include rho = +/-0.0 and +/-RHO_LIMIT; b holds both signed zeros."""
+    sign = rng.choice([-1.0, 1.0], 24)
+    rhos = np.concatenate([
+        rng.uniform(-0.9, 0.9, 28), sign[:12] * rng.uniform(0.9, 0.925, 12),
+        sign[12:] * rng.uniform(0.925, 0.999, 12),
+        [0.0, -0.0, RHO_LIMIT, -RHO_LIMIT, 0.925, -0.925, 0.5, -0.5]])
+    rho = np.repeat(rhos, repeats)
+    b = rng.normal(0.0, 3.0, rho.size)
+    b[::9] = 0.0
+    b[4::9] = -0.0
+    order = rng.permutation(rho.size)
+    return b[order], rho[order]
+
+
+def test_quadrant_kernel_with_repeated_correlations_matches_h0_reference():
+    b, rho = _grid_like_rows(np.random.default_rng(91))
+    assert np.unique(rho.view(np.int64)).size == 60
+    q00 = quadrant_laws(b, rho)[:, 0, 0]
+    ref = np.clip(orthant_at_origin_reference(b, rho, std_normal_cdf_array(-b)), 0.0, 1.0)
+    assert q00.tobytes() == ref.tobytes()
+
+
+def test_orthant_kernel_with_repeated_correlations_matches_per_point_kernel():
+    # the node tables, built once per distinct rho and gathered, give the bits
+    # of the per-point kernel at general (h, k) too
+    rng = np.random.default_rng(92)
+    k, rho = _grid_like_rows(rng)
+    h = rng.normal(0.0, 2.0, rho.size)
+    h[:30] = rng.uniform(-37.0, 37.0, 30)  # the kernel's domain is |h|, |k| <= _CDF_FLAT
+    assert np.all(h != 0.0)
+    args = (h, k, rho, std_normal_cdf_array(-h), std_normal_cdf_array(-k))
+    assert _upper_orthant(*args).tobytes() == upper_orthant_per_point(*args).tobytes()
 
 
 def test_quadrant_distribution_is_one_row_of_the_kernel():

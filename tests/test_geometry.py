@@ -15,8 +15,10 @@ from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, symplectic_eig
 from avcsim.geometry import (
     COORD_SUM_ATOL,
     CSV_COLUMNS,
+    _CSV_ROWS,
     EnergyBudget,
     SimplexCoords,
+    SweepColumns,
     barycentric,
     compute_delta_star,
     default_squeezing,
@@ -194,6 +196,32 @@ def test_sweep_csv_matches_the_per_row_writer(alpha):
         sweep_to_csv(records, got)
         assert len(records) == rows
         assert got.getvalue() == expected.getvalue(), (alpha, eta, resolution)
+
+
+def test_sweep_csv_formats_every_cell_by_its_repr():
+    # hand-built columns holding both signed zeros, NaNs of two payloads and
+    # values that recur within and across the writer's chunks of _CSV_ROWS rows
+    nan_payload = np.array([0x7FF8000000000123], dtype=np.int64).view(float)[0]
+    pool = np.array([0.0, -0.0, np.nan, nan_payload, 0.1, -2.5, 1.0 / 3.0,
+                     5e-324, -1.7976931348623157e308, 1e22, 123456789.0])
+    rng = np.random.default_rng(93)
+    for n in (0, 1, 2 * _CSV_ROWS + 3):
+        cells = rng.choice(pool, (n, 13))
+        if n > _CSV_ROWS:
+            for col in cells.T:
+                assert set(pool.view(np.int64).tolist()) <= set(col.view(np.int64).tolist())
+        records = SweepColumns(
+            A=cells[:, 0], B=cells[:, 1], a=cells[:, 2], q=cells[:, 3:7].reshape(n, 2, 2),
+            lambda_c=cells[:, 7], lambda_0=cells[:, 8], lambda_1=cells[:, 9],
+            rho=cells[:, 10], rho_bin=cells[:, 11], mi_bits=cells[:, 12])
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(CSV_COLUMNS)
+        for row in np.delete(cells, 1, axis=1).tolist():
+            writer.writerow([repr(x) for x in row])
+        got = io.StringIO(newline="")
+        sweep_to_csv(records, got)
+        assert got.getvalue() == expected.getvalue(), n
 
 
 def _no_work(*args):

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from avcsim.bivariate import BinaryJointDist, quadrant_distribution, homodyne_xx, std_normal_cdf
+from avcsim.bivariate import (BinaryJointDist, quadrant_distribution, quadrant_laws, homodyne_xx,
+                              std_normal_cdf)
 from avcsim.channels import avc_kernel, binary_entropy, bsc_table, crossover_probs
-from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
+from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, receiver_port_moments
 from avcsim.protocol import (
     CODE_MODES,
     SOURCES,
@@ -1549,6 +1550,19 @@ def test_a_displacement_near_the_double_maximum_runs_without_overflow():
                 cfg = SimConfig(alpha=1.0, n=40, k=k, rate=0.3, jammer=jam, code_mode=mode,
                                 source=source, cr_seed_bits=1, trials=2)
                 assert len(simulate(cfg).per_trial) == 2
+
+
+def test_pair_joint_table_gives_each_round_its_own_law():
+    # the rounds are deduplicated on (A, a) with -0.0 folded into +0.0; each
+    # round still gets the bits of its own law, signed zero and all
+    rng = np.random.default_rng(66)
+    big_a = rng.choice([0.0, -0.0, 0.25, 0.5, 1.5], 300)
+    disp = rng.choice([0.0, -0.0, 0.3, -0.3, 1.1], 300)
+    cfg = SimConfig(alpha=1.1, n=200, k=60, rate=0.2, jammer=canonical_schedules(),
+                    cr_seed_bits=3)
+    mean_b, var_b, rho = receiver_port_moments(big_a, disp, cfg.squeezing, cfg.eta)
+    expected = quadrant_laws(mean_b / np.sqrt(var_b), rho)
+    assert protocol._pair_joint_table(big_a, disp, cfg).tobytes() == expected.tobytes()
 
 
 def test_vote_model_matches_the_per_round_loop():
