@@ -17,7 +17,6 @@ for any worker count.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import numbers
 import os
@@ -90,27 +89,6 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _hash_once(self) -> int:
-    """A frozen dataclass's hash of its fields, computed once per object.
-
-    The per-run caches key on the config and its leaves, so a trial looks
-    them up many times. The value lives in the instance and `_unhashed_state`
-    leaves it out of a pickle: `str` hashes are salted per process, so a
-    pool worker hashes its own copy.
-    """
-    try:
-        return self.__dict__["_hash"]
-    except KeyError:
-        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", value)
-        return value
-
-
-def _unhashed_state(self) -> dict:
-    """The instance's state without the hash that `_hash_once` cached."""
-    return {name: value for name, value in self.__dict__.items() if name != "_hash"}
-
-
 @dataclass(frozen=True)
 class JammerStrategy:
     """Per-round jammer behaviour: a symbol schedule, a state list, or a worst-case set.
@@ -124,9 +102,6 @@ class JammerStrategy:
     states: tuple = ()
     options: tuple = ()
     label: str = ""
-
-    __hash__ = _hash_once
-    __getstate__ = _unhashed_state
 
     def __post_init__(self):
         if self.kind not in ("symbols", "gaussian", "worst_of"):
@@ -245,8 +220,7 @@ class SimConfig:
     fields must be finite and integer fields plain integers (not bool, not
     2.0); the squeezing's cosh(2r) must be finite, and with the entangled
     source no jammer state may correlate the sign-bit quadratures past
-    `RHO_LIMIT`. So a config that constructs can be simulated and is a
-    sound key for the per-run decoder tables.
+    `RHO_LIMIT`. So a config that constructs can be simulated.
     """
 
     alpha: float
@@ -262,9 +236,6 @@ class SimConfig:
     r: Optional[float] = None
     cr_seed_bits: int = 8
     max_block_bits: int = 13
-
-    __hash__ = _hash_once
-    __getstate__ = _unhashed_state
 
     def __post_init__(self):
         for name in ("alpha", "rate", "eta"):
@@ -328,7 +299,10 @@ class SimConfig:
                  **kw) -> "SimConfig":
         """Side-phase length defaulting to the 2 log2 n scaling, rounded even.
 
-        The seed width is clamped to what k/2 transfer rounds can carry.
+        The seed width defaults to the most k/2 transfer rounds carry, clamped
+        to [1, 8]. In correlation-assisted mode (the default) n must be at
+        least 9: k/2 = 4 transfer rounds are the fewest that carry one seed
+        bit and its parity slot, and k < n. A smaller n raises ValueError.
         """
         k = kw.pop("k", None)
         if k is None:
@@ -504,8 +478,9 @@ def _pair_outputs(law: tuple, rng) -> tuple[np.ndarray, np.ndarray]:
 # --- the run's shape: the config alone fixes it ------------------------------
 #
 # The tables from here to the protocol phases are functions of the config (and
-# a leaf of its jammer), cached so that a run builds each once, not once per
-# trial; `simulate` empties these caches (`_RUN_CACHES`) when it returns.
+# a leaf of its jammer). `simulate` builds them once into the run's `_Run`
+# (`_run_tables`) and hands that to every task, so a run builds each table
+# once, not once per trial, and none outlives the run.
 
 
 class _LeafTables(NamedTuple):
@@ -518,13 +493,11 @@ class _LeafTables(NamedTuple):
     data: tuple[np.ndarray, np.ndarray]
 
 
-# a run reads one entry per leaf and runs its trials leaf by leaf, so with
-# more leaves than entries a leaf's table is built again when its trials begin
-@functools.lru_cache(maxsize=16)
-def _leaf_tables(leaf: JammerStrategy, config: SimConfig) -> _LeafTables:
-    """The `_LeafTables` of a leaf of the config's jammer; its arrays are read-only."""
+def _leaf_tables(rounds: tuple[np.ndarray, np.ndarray], config: SimConfig) -> _LeafTables:
+    """The read-only `_LeafTables` of a leaf whose `round_params` over the
+    block's n rounds are `rounds`."""
     half, k = config.k // 2, config.k
-    big_a, disp = leaf.round_params(config.n, config.alpha)
+    big_a, disp = rounds
     tables = _LeafTables(
         _pair_law(big_a[:half], disp[:half], config.squeezing, config.eta, config.source),
         _bpsk_law(big_a[half:k], disp[half:k], config.alpha, config.eta),
@@ -536,7 +509,6 @@ def _leaf_tables(leaf: JammerStrategy, config: SimConfig) -> _LeafTables:
     return tables
 
 
-@functools.lru_cache(maxsize=4)
 def _frame_layout(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slot and public mask of each transfer round: the frame is the seed
     bits and a parity slot, and the mask flips after each pass of it."""
@@ -546,7 +518,6 @@ def _frame_layout(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return slots, masks
 
 
-@functools.lru_cache(maxsize=4)
 def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
     """(rounds, message bits) per data sub-block, message bits capped at max_block_bits."""
     rounds = config.n - config.k
@@ -602,8 +573,10 @@ def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
     return table[inverse]
 
 
-def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
-    """vm[i, f, w] = P(vote_i = w | frame bit f) under one candidate schedule.
+def _vote_model(rounds: tuple, tables: _LeafTables, masks: np.ndarray,
+                config: SimConfig) -> np.ndarray:
+    """vm[i, f, w] = P(vote_i = w | frame bit f) under one candidate schedule;
+    `rounds` and `tables` are its `_leaf_tables` argument and result.
 
     Round i of the transfer phase is global round k/2 + i and consumes the
     sign-bit pair of global round i, so the two schedule slices differ for
@@ -611,21 +584,21 @@ def _vote_model(leaf: JammerStrategy, config: SimConfig) -> np.ndarray:
     pair law and BPSK law (`channels._xor_mix`) read at input f XOR m and
     output w XOR m, m the public mask.
     """
-    qa = _pair_joint_table(*leaf.round_params(config.k // 2, config.alpha), config)
-    p1 = _bpsk_flip_table(*_leaf_tables(leaf, config).transfer)
+    half = config.k // 2
+    qa = _pair_joint_table(rounds[0][:half], rounds[1][:half], config)
+    p1 = _bpsk_flip_table(*tables.transfer)
     eff = _xor_mix(qa, np.stack([1.0 - p1, p1], axis=-1))
-    m = _frame_layout(config)[1][:, None, None]
+    m = masks[:, None, None]
     bit = np.arange(2)
     return eff[np.arange(m.shape[0])[:, None, None], bit[:, None] ^ m, bit ^ m]
 
 
-# a run needs one entry of each of the decoders' caches
-@functools.lru_cache(maxsize=4)
-def _vote_tables(config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
-    """`_block_laws(vm[..., 1])` of the vote models vm[h, i, f, w] =
+def _vote_tables(rounds: list, tables: tuple, masks: np.ndarray,
+                 config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
+    """`_block_laws(vm[..., 1])` of the `_vote_model`s vm[h, i, f, w] =
     P(vote_i = w | frame bit f) under leaf h, and per leaf the crossover
     averaged over inputs and rounds (the report's `model_crossover`)."""
-    vm = np.stack([_vote_model(leaf, config) for leaf in config.jammer.leaves()])
+    vm = np.stack([_vote_model(*leaf, masks, config) for leaf in zip(rounds, tables)])
     if config.source == "thermal":
         # u is a coin, so both frame bits have one vote law; only the order of
         # `_xor_mix`'s sums tells them apart, and their mean ties every slot
@@ -634,31 +607,52 @@ def _vote_tables(config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
     return _block_laws(vm[..., 1]), tuple(math.fsum(row) / len(row) for row in crossover.tolist())
 
 
-@functools.lru_cache(maxsize=4)
-def _data_block_laws(config: SimConfig) -> tuple["_BlockLaws", ...]:
+def _data_block_laws(tables: tuple, plan: tuple) -> tuple["_BlockLaws", ...]:
     """`_block_laws` of each data sub-block's slice of the data phase's flip
     tables p1[h, i, x] under every leaf; p1 itself is not kept."""
-    p1 = np.stack([_bpsk_flip_table(*_leaf_tables(leaf, config).data)
-                   for leaf in config.jammer.leaves()])
-    starts = np.cumsum([0] + [length for length, _ in _block_plan(config)])
+    p1 = np.stack([_bpsk_flip_table(*leaf.data) for leaf in tables])
+    starts = np.cumsum([0] + [length for length, _ in plan])
     return tuple(_block_laws(p1[:, a:b]) for a, b in zip(starts[:-1], starts[1:]))
 
 
-_RUN_CACHES = (_leaf_tables, _frame_layout, _block_plan, _vote_tables, _data_block_laws)
+class _Run(NamedTuple):
+    """A run's tables, all functions of its config: each leaf's `_LeafTables`,
+    the `_frame_layout`, the `_block_plan`, the `_vote_tables` (None without a
+    transfer phase) and the `_data_block_laws`. `simulate` builds one with
+    `_run_tables` and hands it to every task, pickled to a pool worker. The
+    phases below take it and the index of the leaf that jams, `strategy_idx`."""
+
+    config: SimConfig
+    tables: tuple[_LeafTables, ...]
+    frame: tuple[np.ndarray, np.ndarray]
+    plan: tuple[tuple[int, int], ...]
+    votes: Optional["_BlockLaws"]
+    crossovers: Optional[tuple[float, ...]]
+    data: tuple["_BlockLaws", ...]
+
+
+def _run_tables(config: SimConfig) -> _Run:
+    """The config's `_Run`, from one `round_params` call per leaf."""
+    rounds = [leaf.round_params(config.n, config.alpha) for leaf in config.jammer.leaves()]
+    tables = tuple(_leaf_tables(leaf_rounds, config) for leaf_rounds in rounds)
+    frame, plan = _frame_layout(config), _block_plan(config)
+    votes = crossovers = None
+    if config.code_mode == "correlation-assisted":
+        votes, crossovers = _vote_tables(rounds, tables, frame[1], config)
+    return _Run(config, tables, frame, plan, votes, crossovers, _data_block_laws(tables, plan))
 
 
 # --- protocol phases --------------------------------------------------------
 
 
-def run_correlation_phase(strategy: JammerStrategy, config: SimConfig,
-                          rng) -> tuple[np.ndarray, np.ndarray]:
+def run_correlation_phase(run: _Run, strategy_idx: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sign-bit pairs (u, v) from the k/2 uses of the entangled symbol.
 
     `rng` is one trial's generator, or a sequence of them, one per trial of
     a chunk; u and v then have a leading trial axis, and row i is what
     rng[i] alone would give.
     """
-    return _pair_outputs(_leaf_tables(strategy, config).pair, rng)
+    return _pair_outputs(run.tables[strategy_idx].pair, rng)
 
 
 def _slot_sums(terms: np.ndarray, width: int) -> np.ndarray:
@@ -674,8 +668,8 @@ def _slot_sums(terms: np.ndarray, width: int) -> np.ndarray:
     return terms.reshape(lead + (-1, width) + tail).sum(axis=-4, dtype=np.int64)
 
 
-def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrategy,
-                 config: SimConfig, seed_bits: np.ndarray, rng) -> dict:
+def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, run: _Run, strategy_idx: int,
+                 seed_bits: np.ndarray, rng) -> dict:
     """Transfer `seed_bits` by repetition over the XOR-corrected channel.
 
     Each round carries one frame slot (seed bits plus a final parity slot).
@@ -684,7 +678,7 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     by exact per-round likelihood, profiled over the candidate schedules in
     the config (rounds with a crossover above 1/2 then count as negative
     evidence, which plain majority voting would throw away): sums[s, h, f]
-    adds the vote laws' fixed-point log-likelihoods (`_vote_tables`) in
+    adds the run's vote laws' fixed-point log-likelihoods (`_vote_tables`) in
     int64, the leaf with the largest sum_s max_f wins (an exact tie: the
     lowest leaf), and a slot decodes to 1 only if its f = 1 sum is strictly
     larger. Agreement is checked via the parity slot and reported, not
@@ -695,17 +689,18 @@ def run_cr_phase(u_bits: np.ndarray, v_bits: np.ndarray, strategy: JammerStrateg
     and "agree" are then arrays too); trial i's entries are those of a call
     with its own rows and rng[i].
     """
+    config = run.config
     lead = () if isinstance(rng, np.random.Generator) else (len(rng),)
     for name, bits, width in (("seed_bits", seed_bits, config.cr_seed_bits),
                               ("u_bits", u_bits, config.k // 2), ("v_bits", v_bits, config.k // 2)):
         if np.shape(bits) != lead + (width,):
             raise ValueError(f"{name} must have shape {lead + (width,)}, got {np.shape(bits)}")
-    slots, masks = _frame_layout(config)
+    slots, masks = run.frame
     frame = np.concatenate([seed_bits, seed_bits.sum(axis=-1, keepdims=True) % 2], axis=-1)
     x = frame[..., slots] ^ masks ^ u_bits
-    y = _bpsk_outputs(x, _leaf_tables(strategy, config).transfer, rng)
+    y = _bpsk_outputs(x, run.tables[strategy_idx].transfer, rng)
     votes = y ^ masks ^ v_bits
-    laws = _vote_tables(config)[0]
+    laws = run.votes
     sums = _slot_sums(np.take(laws.q, 2 * laws.labels + votes, axis=0), frame.shape[-1])
     best = sums.max(axis=-1).sum(axis=-2).argmax(axis=-1)
     chosen = np.take_along_axis(sums, np.reshape(best, lead + (1, 1, 1)), axis=-2)[..., 0, :]
@@ -939,10 +934,11 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
 
     `codebook` is packed as `random_codebook` returns it: uint8 rows of
     ceil(L/8) bytes, L the number of rounds. An unpacked 0/1 codebook is
-    rejected, since its entries would be read as byte values. `laws` is the
+    rejected, since its entries would be read as byte values, and so is a y
+    that is not one 0 or 1 (or bool) per round. `laws` is the
     candidate set, either as the array p1[h, i, x] = P(y_i = 1 | x) under
     candidate schedule h, each with a uniform prior, or as its
-    `_block_laws(p1)`, which a run caches per data block. On one binary
+    `_block_laws(p1)`, which a run builds once per data block. On one binary
     symmetric channel with crossover below 1/2 the ranking reduces to
     Hamming distance.
 
@@ -950,8 +946,8 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     log-likelihoods (`_BlockLaws`): base_h + sum_c n_c d_{h,c} over the
     classes c (the rounds of one law that received one bit), with n_c =
     popcount(codeword AND mask_c). The block's plan (its law word masks, the
-    d's as a float64 matrix and the count type) is built once with its laws,
-    which a run caches per block; a decode packs y into words once, takes
+    d's as a float64 matrix and the count type) is built with its laws, once
+    per block in a run; a decode packs y into words once, takes
     the class masks as law AND NOT y and law AND y, and counts the classes
     that y leaves nonempty. Codewords with equal counts score equal. The sum
     over classes is a BLAS product, but of integers that float64 holds
@@ -972,6 +968,8 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
     if y.shape != (length,):
         raise ValueError(f"y must hold one output per round, {length}, got shape {y.shape}")
     ones = y == 1
+    if not (ones | (y == 0)).all():
+        raise ValueError("y must hold binary outputs, 0 or 1")
     sizes = np.bincount(2 * laws.labels + ones, minlength=len(laws.q))
     present = np.flatnonzero(sizes)
     masks = laws.pair_mask & (_words(ones)[laws.pair_word] ^ laws.pair_flip)
@@ -988,8 +986,7 @@ def schedule_set_decoder(codebook: np.ndarray, y: np.ndarray,
 
 
 def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
-                   receiver_seed: np.ndarray, strategy: JammerStrategy,
-                   config: SimConfig, strategy_idx: int, trial: int,
+                   receiver_seed: np.ndarray, run: _Run, strategy_idx: int, trial: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Send message_bits raw (no XOR layer) in seed-keyed random sub-blocks.
 
@@ -1002,14 +999,13 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
     schedule set, which the receiver knows from the config; the realised
     schedule stays hidden.
     """
-    plan = _block_plan(config)
+    plan = run.plan
     if sum(b for _, b in plan) != len(message_bits):
         raise ValueError("message length does not match the block plan")
-    mean, sd = _leaf_tables(strategy, config).data
-    laws = _data_block_laws(config)
+    mean, sd = run.tables[strategy_idx].data
     # the codebook key depends only on the seed value, so equal copies share one draw
     shared = np.array_equal(sender_seed, receiver_seed)
-    key = (config.master_seed, strategy_idx, trial)
+    key = (run.config.master_seed, strategy_idx, trial)
     decoded = np.zeros_like(message_bits)
     pos_rounds = 0
     pos_bits = 0
@@ -1021,7 +1017,7 @@ def run_data_phase(message_bits: np.ndarray, sender_seed: np.ndarray,
         x = np.unpackbits(row, count=length, bitorder="little").astype(np.int64)
         rounds = slice(pos_rounds, pos_rounds + length)
         y = _bpsk_outputs(x, (mean[rounds], sd[rounds]), rng)
-        m_hat = schedule_set_decoder(cb_recv, y, laws[block])
+        m_hat = schedule_set_decoder(cb_recv, y, run.data[block])
         decoded[pos_bits : pos_bits + bits] = (m_hat >> np.arange(bits - 1, -1, -1)) & 1
         pos_rounds += length
         pos_bits += bits
@@ -1097,25 +1093,26 @@ def symmetrizing_attack_error(codebook: np.ndarray, decoder: np.ndarray,
 _CHUNK = 8
 
 
-def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
-               trials: range) -> list[dict]:
-    """The records of a chunk of one leaf's trials, in trial order.
+def _run_trial(run: _Run, strategy_idx: int, trials: range) -> list[dict]:
+    """The records of a chunk of trials of leaf `strategy_idx` of the run's
+    jammer, in trial order.
 
     Each trial draws every stream from its own `_rng` key, so a record does
     not depend on the chunk it ran in. Phase 1 and the seed transfer take
     the chunk's generators at once (`run_correlation_phase`, `run_cr_phase`);
     the data phase runs one trial at a time.
     """
+    config = run.config
     seed = config.master_seed
 
     def rngs(tag: int) -> list[np.random.Generator]:
         return [_rng(seed, strategy_idx, trial, tag) for trial in trials]
 
     if config.code_mode == "correlation-assisted":
-        u_bits, v_bits = run_correlation_phase(strategy, config, rngs(_TAG_PHASE1))
+        u_bits, v_bits = run_correlation_phase(run, strategy_idx, rngs(_TAG_PHASE1))
         sender_seed = _per_trial(rngs(_TAG_SEED), lambda gen: gen.integers(
             0, 2, size=config.cr_seed_bits, dtype=np.int64))
-        cr = run_cr_phase(u_bits, v_bits, strategy, config, sender_seed, rngs(_TAG_PHASE2))
+        cr = run_cr_phase(u_bits, v_bits, run, strategy_idx, sender_seed, rngs(_TAG_PHASE2))
     else:
         # no side phase: both ends hold a free seed, of no width in
         # deterministic mode, as if a flawless transfer had delivered it
@@ -1124,17 +1121,17 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
             0, 2, size=width, dtype=np.int64))
         cr = {"received": sender_seed, "agree": np.ones(len(trials), dtype=bool),
               "parity_ok": np.ones(len(trials), dtype=bool), "t_hat": np.zeros(len(trials))}
-    message_bits = sum(bits for _, bits in _block_plan(config))
+    message_bits = sum(bits for _, bits in run.plan)
     records = []
     for trial, sent, received, agree, parity_ok, t_hat in zip(
             trials, sender_seed, cr["received"], cr["agree"].tolist(), cr["parity_ok"].tolist(),
             cr["t_hat"].tolist()):
         message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
             0, 2, size=message_bits, dtype=np.int64)
-        decoded = run_data_phase(message, sent, received, strategy, config, strategy_idx, trial,
+        decoded = run_data_phase(message, sent, received, run, strategy_idx, trial,
                                  _rng(seed, strategy_idx, trial, _TAG_PHASE3))
         records.append({
-            "strategy": strategy.label,
+            "strategy": config.jammer.leaves()[strategy_idx].label,
             "trial": trial,
             "message_ok": bool(np.array_equal(message, decoded)),
             "bit_errors": int((message != decoded).sum()),
@@ -1148,7 +1145,10 @@ def _run_trial(config: SimConfig, strategy: JammerStrategy, strategy_idx: int,
 
 def trials_to_csv(records: Sequence[dict], fh: TextIO) -> None:
     """Write a report's per_trial as CSV, one row per trial: the columns are the
-    record's keys in order, bools are written as 0/1 (csv.writer writes floats by repr)."""
+    record's keys in order, bools are written as 0/1 (csv.writer writes floats by repr).
+    No records raise ValueError, since there is no header to write."""
+    if not records:
+        raise ValueError("no trial records")
     writer = csv.writer(fh)
     writer.writerow(records[0])
     for record in records:
@@ -1174,33 +1174,31 @@ def simulate(config: SimConfig, workers: int = 1) -> SimReport:
     The report is a pure function of the config: trials draw from
     counter-based sub-streams and are merged in a fixed order, so any worker
     count produces the identical report. A worker count that is not an
-    integer of at least 1 raises ValueError before any trial runs.
+    integer of at least 1 raises ValueError before any trial runs. The run's
+    tables (`_Run`) are built once, before the first trial, and are gone
+    when the call returns.
     """
     _check_workers(workers)
     leaves = config.jammer.leaves()
+    run = _run_tables(config)
     tasks = [
-        (config, leaf, si, range(t, min(t + _CHUNK, config.trials)))
-        for si, leaf in enumerate(leaves)
+        (run, si, range(t, min(t + _CHUNK, config.trials)))
+        for si in range(len(leaves))
         for t in range(0, config.trials, _CHUNK)
     ]
     workers = _pool_size(workers, len(tasks))
-    try:
-        if workers == 1:
-            chunks = [_run_trial(*task) for task in tasks]
-        else:
-            # imported here: multiprocessing costs every process that never
-            # opens a pool about 2 MB of resident memory
-            from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        chunks = [_run_trial(*task) for task in tasks]
+    else:
+        # imported here: multiprocessing costs every process that never
+        # opens a pool about 2 MB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
 
-            # map returns results in task order, whatever order they finish in
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_run_trial, *zip(*tasks)))
-        crossovers = (_vote_tables(config)[1] if config.code_mode == "correlation-assisted"
-                      else (None,) * len(leaves))
-    finally:
-        # the tables are the run's: none outlives it (each worker's die with it)
-        for cache in _RUN_CACHES:
-            cache.cache_clear()
+        # map returns results in task order, whatever order they finish in;
+        # each task carries the run's tables, pickled
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_trial, *zip(*tasks)))
+    crossovers = run.crossovers or (None,) * len(leaves)
     records = [record for chunk in chunks for record in chunk]
     per_strategy = {}
     failures = []

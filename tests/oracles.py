@@ -228,17 +228,18 @@ def random_codebook_reference(n_messages: int, length: int, master_seed: int,
     return np.array(rows, dtype=np.int64).reshape(n_messages, length)
 
 
-def trial_record_reference(config: SimConfig, leaf: JammerStrategy, strategy_idx: int,
-                           trial: int) -> dict:
-    """`simulate`'s record of one trial, from one-trial calls of the public
-    phases, each with the trial's own generator for its stream."""
+def trial_record_reference(run, strategy_idx: int, trial: int) -> dict:
+    """`simulate`'s record of one trial of a run (`protocol._Run`), from
+    one-trial calls of the public phases, each with the trial's own
+    generator for its stream."""
+    config = run.config
     seed = config.master_seed
     if config.code_mode == "correlation-assisted":
-        u_bits, v_bits = run_correlation_phase(leaf, config,
+        u_bits, v_bits = run_correlation_phase(run, strategy_idx,
                                                _rng(seed, strategy_idx, trial, _TAG_PHASE1))
         sender_seed = _rng(seed, strategy_idx, trial, _TAG_SEED).integers(
             0, 2, size=config.cr_seed_bits, dtype=np.int64)
-        cr = run_cr_phase(u_bits, v_bits, leaf, config, sender_seed,
+        cr = run_cr_phase(u_bits, v_bits, run, strategy_idx, sender_seed,
                           _rng(seed, strategy_idx, trial, _TAG_PHASE2))
     else:
         width = config.cr_seed_bits if config.code_mode == "common-randomness" else 0
@@ -247,10 +248,10 @@ def trial_record_reference(config: SimConfig, leaf: JammerStrategy, strategy_idx
         cr = {"received": sender_seed, "agree": True, "parity_ok": True, "t_hat": 0.0}
     message = _rng(seed, strategy_idx, trial, _TAG_MESSAGE).integers(
         0, 2, size=sum(bits for _, bits in _block_plan(config)), dtype=np.int64)
-    decoded = run_data_phase(message, sender_seed, cr["received"], leaf, config, strategy_idx,
-                             trial, _rng(seed, strategy_idx, trial, _TAG_PHASE3))
+    decoded = run_data_phase(message, sender_seed, cr["received"], run, strategy_idx, trial,
+                             _rng(seed, strategy_idx, trial, _TAG_PHASE3))
     return {
-        "strategy": leaf.label,
+        "strategy": config.jammer.leaves()[strategy_idx].label,
         "trial": trial,
         "message_ok": bool(np.array_equal(message, decoded)),
         "bit_errors": int((message != decoded).sum()),

@@ -1,14 +1,10 @@
 """Protocol phases, decoders, exact evaluation, and the simulation harness."""
 
 import dataclasses
-import functools
+import io
 import json
 import math
-import os
-import pickle
 import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -35,6 +31,7 @@ from avcsim.protocol import (
     schedule_set_decoder,
     simulate,
     symmetrizing_attack_error,
+    trials_to_csv,
     wilson_interval,
 )
 from avcsim import protocol
@@ -45,13 +42,12 @@ from avcsim.protocol import (
     _bpsk_flip_table,
     _bpsk_outputs,
     _count_scores,
-    _data_block_laws,
     _pair_law,
     _pair_outputs,
     _pool_size,
     _rng,
+    _run_tables,
     _vote_model,
-    _vote_tables,
     _words,
 )
 
@@ -230,6 +226,19 @@ def test_sim_config_defaults_and_squeezing():
     assert cfg2.squeezing == 0.25
     cfg3 = SimConfig.defaults(1.0, 1024, 0.1, jam, k=800, cr_seed_bits=1)
     assert cfg3.k == 800 and cfg3.cr_seed_bits == 1
+
+
+def test_sim_config_defaults_need_n_of_at_least_9_for_a_transfer_phase():
+    # k/2 = 4 transfer rounds are the fewest that carry a seed bit and its
+    # parity slot; n = 9 is the first blocklength whose default k has them
+    jam = canonical_schedules()
+    for n in range(1, 9):
+        with pytest.raises(ValueError):
+            SimConfig.defaults(1.0, n, 0.5, jam)
+    cfg = SimConfig.defaults(1.0, 9, 0.5, jam)
+    assert (cfg.k, cfg.cr_seed_bits) == (8, 1)
+    # the other modes have no transfer phase and take k = 0
+    assert SimConfig.defaults(1.0, 8, 0.5, jam, k=0, code_mode="common-randomness").n == 8
 
 
 def test_sim_config_json_round_trip():
@@ -604,7 +613,7 @@ def test_schedule_set_decoder_reads_the_last_rows_words(length):
 
 def _plan_edge_case(case: str, rng: np.random.Generator) -> tuple:
     """(p1, y, laws) of a decode-plan edge; laws is None where the decoder
-    builds them from p1, else the run's cached laws of the block."""
+    builds them from p1, else the run's laws of the block."""
     three = rng.uniform(0.02, 0.98, (3, 3, 2))  # 3 leaves, 3 laws in turn
     if case == "gaussian-130":
         # one law per round: 130 classes, one round each
@@ -614,9 +623,9 @@ def _plan_edge_case(case: str, rng: np.random.Generator) -> tuple:
         cfg = SimConfig(alpha=1.0, n=1024, k=0, rate=0.1, jammer=jam,
                         code_mode="common-randomness")
         assert _block_plan(cfg)[0] == (130, 13)
-        p1 = np.stack([_bpsk_flip_table(*protocol._leaf_tables(leaf, cfg).data)[:130]
-                       for leaf in jam.leaves()])
-        laws = _data_block_laws(cfg)[0]
+        run = _run_tables(cfg)
+        p1 = np.stack([_bpsk_flip_table(*tables.data)[:130] for tables in run.tables])
+        laws = run.data[0]
         assert len(np.unique(laws.labels)) == 130
         return p1, rng.integers(0, 2, 130), laws
     length = {"y-all-0": 130, "y-all-1": 130, "one-round": 1, "last-word-one-round": 129}[case]
@@ -643,24 +652,20 @@ def test_decode_plan_edges_match_the_round_by_round_reference(case, monkeypatch)
         return real(product, base, shift)
 
     monkeypatch.setattr(protocol, "_mixture_pick", recording)
-    try:
-        for _ in range(4):
-            p1, y, laws = _plan_edge_case(case, rng)
-            laws = _block_laws(p1) if laws is None else laws
-            length = len(y)
-            bits = rng.integers(0, 2, (64, length))
-            # the received word, a near miss and an exact tie with a later row
-            bits[5], bits[9] = y, y
-            bits[7] = y ^ (np.arange(length) == length - 1)
-            pick = schedule_set_decoder(_pack(bits), y, laws)
-            assert pick == schedule_set_decoder_reference(bits, y, p1)
-            q, labels = laws.q.tolist(), laws.labels.tolist()
-            exact = [[sum(q[2 * g + b][h][x] for g, b, x in zip(labels, y.tolist(), word))
-                      for word in bits.tolist()] for h in range(p1.shape[0])]
-            assert scores.pop() == exact
-    finally:
-        for cache in protocol._RUN_CACHES:
-            cache.cache_clear()
+    for _ in range(4):
+        p1, y, laws = _plan_edge_case(case, rng)
+        laws = _block_laws(p1) if laws is None else laws
+        length = len(y)
+        bits = rng.integers(0, 2, (64, length))
+        # the received word, a near miss and an exact tie with a later row
+        bits[5], bits[9] = y, y
+        bits[7] = y ^ (np.arange(length) == length - 1)
+        pick = schedule_set_decoder(_pack(bits), y, laws)
+        assert pick == schedule_set_decoder_reference(bits, y, p1)
+        q, labels = laws.q.tolist(), laws.labels.tolist()
+        exact = [[sum(q[2 * g + b][h][x] for g, b, x in zip(labels, y.tolist(), word))
+                  for word in bits.tolist()] for h in range(p1.shape[0])]
+        assert scores.pop() == exact
 
 
 def test_schedule_set_decoder_wants_one_output_per_round():
@@ -670,6 +675,15 @@ def test_schedule_set_decoder_wants_one_output_per_round():
               np.zeros((1, 9), dtype=np.int64)):
         with pytest.raises(ValueError, match="one output per round"):
             schedule_set_decoder(codebook, y, p1)
+    # an entry other than 0 or 1 is no output; read as 0, a y of 2s would
+    # pick what a y of 0s picks
+    for bad in (2, -1):
+        y = np.zeros(9, dtype=np.int64)
+        y[4] = bad
+        with pytest.raises(ValueError, match="binary outputs"):
+            schedule_set_decoder(codebook, y, p1)
+    # bool outputs are binary
+    assert schedule_set_decoder(codebook, np.ones(9, dtype=bool), p1) == 0
 
 
 # the test keeps the name it had when the reference was the int64 product
@@ -862,23 +876,23 @@ def test_run_correlation_phase_counts():
     # k/2 pairs; the shortest correlation-assisted config has k = 8
     cfg = SimConfig(alpha=1.0, n=32, k=8, rate=0.2, jammer=canonical_schedules(),
                     cr_seed_bits=1)
-    u, v = run_correlation_phase(cfg.jammer.leaves()[0], cfg, np.random.default_rng(1))
+    u, v = run_correlation_phase(_run_tables(cfg), 0, np.random.default_rng(1))
     assert u.shape == v.shape == (4,)
     longer = dataclasses.replace(cfg, k=30)
-    u, v = run_correlation_phase(cfg.jammer.leaves()[0], longer, np.random.default_rng(1))
+    u, v = run_correlation_phase(_run_tables(longer), 0, np.random.default_rng(1))
     assert u.shape == v.shape == (15,)
 
 
 def test_run_cr_phase_agreement_and_errors():
     jam = canonical_schedules()
     cfg = SimConfig(alpha=1.0, n=1024, k=200, rate=0.1, jammer=jam, cr_seed_bits=2)
-    leaf = jam.leaves()[0]
+    run = _run_tables(cfg)
     agree = 0
     for trial in range(20):
-        u, v = run_correlation_phase(leaf, cfg, _rng(5, 0, trial, 1))
+        u, v = run_correlation_phase(run, 0, _rng(5, 0, trial, 1))
         seed_bits = _rng(5, 0, trial, 2).integers(0, 2, size=cfg.cr_seed_bits,
                                                   dtype=np.int64)
-        out = run_cr_phase(u, v, leaf, cfg, seed_bits, _rng(5, 0, trial, 3))
+        out = run_cr_phase(u, v, run, 0, seed_bits, _rng(5, 0, trial, 3))
         assert out["received"].shape == (cfg.cr_seed_bits,)
         assert 0.0 <= out["t_hat"] <= 1.0
         agree += out["agree"]
@@ -889,7 +903,7 @@ def test_run_cr_phase_agreement_and_errors():
     for bad in ((u, v, np.zeros(4, dtype=np.int64)), (u, v, seed_bits[None]),
                 (u[:-1], v, seed_bits), (u, v[None], seed_bits)):
         with pytest.raises(ValueError, match="must have shape"):
-            run_cr_phase(bad[0], bad[1], leaf, cfg, bad[2], _rng(5, 0, 0, 3))
+            run_cr_phase(bad[0], bad[1], run, 0, bad[2], _rng(5, 0, 0, 3))
     # a transfer phase too short for the frame is refused with the config,
     # before any phase runs
     with pytest.raises(ValueError, match="cannot carry"):
@@ -910,9 +924,9 @@ def transfer(monkeypatch):
 
     monkeypatch.setattr(protocol, "_bpsk_outputs", recording)
 
-    def run(u, v, leaf, cfg, seed_bits, rng):
-        out = run_cr_phase(u, v, leaf, cfg, seed_bits, rng)
-        slots, masks = protocol._frame_layout(cfg)
+    def transfer_and_votes(u, v, run, strategy_idx, seed_bits, rng):
+        out = run_cr_phase(u, v, run, strategy_idx, seed_bits, rng)
+        slots, masks = run.frame
         votes = outputs.pop() ^ masks ^ v
         parity = int(out["received"].sum() % 2)
         frame = out["received"].tolist() + [parity if out["parity_ok"] else 1 - parity]
@@ -920,7 +934,15 @@ def transfer(monkeypatch):
         assert out["t_hat"] == float((votes != np.array(frame)[slots]).mean())
         return out, frame, votes, slots
 
-    return run
+    return transfer_and_votes
+
+
+def _vote_models(cfg: SimConfig) -> np.ndarray:
+    """vm[h, i, f, w] = P(vote_i = w | frame bit f) under leaf h of the
+    config's jammer, each from its `_vote_model`."""
+    masks = protocol._frame_layout(cfg)[1]
+    return np.stack([_vote_model(leaf.round_params(cfg.n, cfg.alpha), tables, masks, cfg)
+                     for leaf, tables in zip(cfg.jammer.leaves(), _run_tables(cfg).tables)])
 
 
 _SEED_JAMMERS = {
@@ -943,15 +965,16 @@ def test_seed_decision_matches_the_integer_reference_and_the_float_form(transfer
     leaves = jam.leaves()
     cfg = SimConfig(alpha=1.1, n=200, k=62, rate=0.2, jammer=jam, source=source,
                     cr_seed_bits=3)
-    laws = _vote_tables(cfg)[0]
-    vm = np.stack([_vote_model(leaf, cfg) for leaf in leaves])
+    run = _run_tables(cfg)
+    laws = run.votes
+    vm = _vote_models(cfg)
     unit = 2.0 ** -laws.shift
     rng = np.random.default_rng(18)
     checked = 0
     for trial in range(24):
         u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
         seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
-        _, frame, votes, slots = transfer(u, v, leaves[trial % len(leaves)], cfg, seed_bits,
+        _, frame, votes, slots = transfer(u, v, run, trial % len(leaves), seed_bits,
                                           _rng(18, 0, trial, 3))
         reference, best = cr_decode_reference(votes, slots, laws)
         assert frame == reference
@@ -978,31 +1001,31 @@ def test_thermal_seed_slots_tie_and_decode_to_the_all_zero_frame(alpha, eta, k, 
     jam = canonical_schedules()
     cfg = SimConfig(alpha=alpha, n=k + 64, k=k, rate=0.1, jammer=jam, source="thermal",
                     eta=eta, cr_seed_bits=bits)
-    laws = _vote_tables(cfg)[0]
+    run = _run_tables(cfg)
+    laws = run.votes
     assert np.array_equal(laws.q[..., 0], laws.q[..., 1])
     rng = np.random.default_rng(k)
     for trial in range(8):
         u, v = rng.integers(0, 2, size=(2, k // 2))
         seed_bits = rng.integers(0, 2, size=bits)
-        out = run_cr_phase(u, v, jam.leaves()[trial % 4], cfg, seed_bits, _rng(k, 0, trial, 3))
+        out = run_cr_phase(u, v, run, trial % 4, seed_bits, _rng(k, 0, trial, 3))
         assert not out["received"].any() and out["parity_ok"]
 
 
-def test_equal_leaf_totals_go_to_the_lowest_leaf(transfer, monkeypatch):
+def test_equal_leaf_totals_go_to_the_lowest_leaf(transfer):
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     cr_seed_bits=3)
-    one = _vote_tables(cfg)[0]
-    one = one._replace(q=one.q[:, :1])
+    run = _run_tables(cfg)
+    one = run.votes._replace(q=run.votes.q[:, :1])
     # leaf 1 reads leaf 0's laws with the frame bit flipped, so the leaves'
     # totals tie exactly and their decodes differ on every slot not tied
     mirrored = one._replace(q=np.concatenate([one.q, one.q[..., ::-1]], axis=1))
-    monkeypatch.setattr(protocol, "_vote_tables", lambda config: (mirrored, ()))
-    leaf = cfg.jammer.leaves()[0]
+    run = run._replace(votes=mirrored)
     rng = np.random.default_rng(4)
     for trial in range(6):
         u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
         seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
-        _, frame, votes, slots = transfer(u, v, leaf, cfg, seed_bits, _rng(4, 0, trial, 3))
+        _, frame, votes, slots = transfer(u, v, run, 0, seed_bits, _rng(4, 0, trial, 3))
         assert (frame, 0) == cr_decode_reference(votes, slots, mirrored)
         assert frame == cr_decode_reference(votes, slots, one)[0]
         assert frame != cr_decode_reference(votes, slots, one._replace(q=one.q[..., ::-1]))[0]
@@ -1013,20 +1036,19 @@ def test_criterion_10_tied_parity_slot_decodes_to_0(transfer):
     # which the float sums had at a margin of 4.3e-14, decoding to 1
     cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
                     master_seed=20260813, trials=200, cr_seed_bits=1)
-    leaf, seed, trial = cfg.jammer.leaves()[0], cfg.master_seed, 150
-    u, v = run_correlation_phase(leaf, cfg, _rng(seed, 0, trial, protocol._TAG_PHASE1))
+    run, seed, trial = _run_tables(cfg), cfg.master_seed, 150
+    u, v = run_correlation_phase(run, 0, _rng(seed, 0, trial, protocol._TAG_PHASE1))
     seed_bits = _rng(seed, 0, trial, protocol._TAG_SEED).integers(0, 2, size=1, dtype=np.int64)
-    out, frame, votes, slots = transfer(u, v, leaf, cfg, seed_bits,
+    out, frame, votes, slots = transfer(u, v, run, 0, seed_bits,
                                         _rng(seed, 0, trial, protocol._TAG_PHASE2))
-    laws = _vote_tables(cfg)[0]
+    laws = run.votes
     parity = slots == 1
     sums = laws.q[2 * laws.labels[parity] + votes[parity], 0].sum(axis=0)
     assert sums[0] == sums[1]
     assert frame == [0, 0] and out["parity_ok"] and out["agree"]
     # leaves all-0 and all-1 have one vote law here, so their totals tie too
     assert cr_decode_reference(votes, slots, laws) == (frame, 0)
-    vm = np.stack([_vote_model(one, cfg) for one in cfg.jammer.leaves()])
-    decoded, _, margins = cr_decode_float(votes, slots, vm)
+    decoded, _, margins = cr_decode_float(votes, slots, _vote_models(cfg))
     assert decoded.tolist() == [0, 1]
     assert 0 < margins[1] < np.count_nonzero(parity) * 2.0 ** -laws.shift
 
@@ -1038,13 +1060,13 @@ def test_slot_sums_of_a_frame_that_does_not_divide_the_transfer_rounds(transfer,
     # a 134th, which the sums' (passes, slots) view pads with zeros
     cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
                     source=source, r=20.0 if source == "thermal" else None, cr_seed_bits=2)
-    leaves = cfg.jammer.leaves()
     assert (cfg.k // 2) % (cfg.cr_seed_bits + 1) == 1
+    run = _run_tables(cfg)
     if source == "thermal":
         # rho rounds above 1 at this squeezing, where sqrt(1 - rho^2) would warn
-        rho = protocol._leaf_tables(leaves[0], cfg).pair[2]
+        rho = run.tables[0].pair[2]
         assert np.all(rho > 1.0)
-    laws = _vote_tables(cfg)[0]
+    laws = run.votes
     sums = []
     real = protocol._slot_sums
 
@@ -1057,7 +1079,7 @@ def test_slot_sums_of_a_frame_that_does_not_divide_the_transfer_rounds(transfer,
     for trial in range(8):
         u, v = rng.integers(0, 2, size=(2, cfg.k // 2))
         seed_bits = rng.integers(0, 2, size=cfg.cr_seed_bits)
-        _, frame, votes, slots = transfer(u, v, leaves[trial % len(leaves)], cfg, seed_bits,
+        _, frame, votes, slots = transfer(u, v, run, trial % len(run.tables), seed_bits,
                                           _rng(19, 0, trial, 3))
         assert sums.pop().tolist() == cr_slot_sums_reference(votes, slots, laws)
         assert frame == cr_decode_reference(votes, slots, laws)[0]
@@ -1073,16 +1095,14 @@ def test_run_data_phase_round_trip_at_high_amplitude():
                     cr_seed_bits=1)
     message = _rng(17, 0, 0, 4).integers(0, 2, size=10, dtype=np.int64)
     seed = np.array([1, 0, 1], dtype=np.int64)
-    decoded = run_data_phase(message, seed, seed, jam.leaves()[0], cfg,
-                             0, 0, _rng(17, 0, 0, 5))
+    run = _run_tables(cfg)
+    decoded = run_data_phase(message, seed, seed, run, 0, 0, _rng(17, 0, 0, 5))
     assert np.array_equal(decoded, message)
     # mismatched seeds give independent codebooks, not a crash
-    bad = run_data_phase(message, seed, 1 - seed, jam.leaves()[0], cfg,
-                         0, 0, _rng(17, 0, 0, 5))
+    bad = run_data_phase(message, seed, 1 - seed, run, 0, 0, _rng(17, 0, 0, 5))
     assert bad.shape == message.shape
     with pytest.raises(ValueError, match="block plan"):
-        run_data_phase(message[:3], seed, seed, jam.leaves()[0], cfg,
-                       0, 0, _rng(17, 0, 0, 5))
+        run_data_phase(message[:3], seed, seed, run, 0, 0, _rng(17, 0, 0, 5))
 
 
 def test_exact_error_single_message_is_zero():
@@ -1188,65 +1208,20 @@ def test_chunked_trials_equal_one_trial_phase_calls(monkeypatch, source, mode, t
     cfg = SimConfig(alpha=1.1, n=200, k=62 if side else 0, rate=0.2, jammer=jam, source=source,
                     code_mode=mode, master_seed=2011, trials=trials, cr_seed_bits=3)
     assert not side or (cfg.k // 2) % (cfg.cr_seed_bits + 1) != 0
-    expected = [trial_record_reference(cfg, leaf, si, t)
-                for si, leaf in enumerate(jam.leaves()) for t in range(trials)]
+    run = _run_tables(cfg)
+    expected = [trial_record_reference(run, si, t)
+                for si in range(len(jam.leaves())) for t in range(trials)]
     report = simulate(cfg)
     # repr tells a numpy bool or float from a Python one
     assert repr(list(report.per_trial)) == repr(expected)
     if trials == 11:
-        assert repr(protocol._run_trial(cfg, jam.leaves()[1], 1, range(0, 11))) == \
-            repr(expected[11:])
-        assert repr(protocol._run_trial(cfg, jam.leaves()[0], 0, range(5, 8))) == \
-            repr(expected[5:8])
+        assert repr(protocol._run_trial(run, 1, range(0, 11))) == repr(expected[11:])
+        assert repr(protocol._run_trial(run, 0, range(5, 8))) == repr(expected[5:8])
         if side:
             # four chunk tasks over a pool of two processes
             monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
             assert json.dumps(simulate(cfg, workers=2).to_json_dict()) == \
                 json.dumps(report.to_json_dict())
-
-
-def test_equal_configs_hash_equal_and_a_pickle_drops_the_cached_hash(tmp_path):
-    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
-                    master_seed=36, cr_seed_bits=3)
-    twin = SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-    assert twin == cfg and twin is not cfg and hash(twin) == hash(cfg)
-    for obj in (cfg, cfg.jammer, cfg.jammer.leaves()[0]):
-        assert "_hash" in vars(obj)
-        copy = pickle.loads(pickle.dumps(obj))
-        assert copy == obj and "_hash" not in vars(copy) and hash(copy) == hash(obj)
-    # `str` hashes are salted per process: unpickled under another salt, the
-    # config hashes as an equal config built there does
-    path = tmp_path / "config.pickle"
-    path.write_bytes(pickle.dumps(cfg))
-    src = os.path.dirname(os.path.dirname(protocol.__file__))
-    env = dict(os.environ, PYTHONHASHSEED="8" if os.environ.get("PYTHONHASHSEED") == "7" else "7")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (os.environ.get("PYTHONPATH"),) if p])
-    code = ("import pickle, sys; from avcsim import SimConfig; "
-            "c = pickle.loads(open(sys.argv[1], 'rb').read()); "
-            "print(hash(c) == hash(SimConfig.from_json_dict(c.to_json_dict())), hash(c))")
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    same, there = proc.stdout.split()
-    assert same == "True" and int(there) != hash(cfg)
-
-
-def test_a_replaced_config_gets_its_own_cache_entry():
-    cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
-                    master_seed=37, cr_seed_bits=3)
-    leaf = cfg.jammer.leaves()[2]
-    protocol._leaf_tables.cache_clear()
-    try:
-        first = protocol._leaf_tables(leaf, cfg)
-        louder = dataclasses.replace(cfg, alpha=1.5)
-        assert "_hash" in vars(cfg) and "_hash" not in vars(louder)
-        second = protocol._leaf_tables(leaf, louder)
-        assert protocol._leaf_tables.cache_info().currsize == 2
-        assert not np.array_equal(first.data[0], second.data[0])
-        # an equal config built afresh finds the first entry
-        assert protocol._leaf_tables(leaf, dataclasses.replace(louder, alpha=1.0)) is first
-    finally:
-        protocol._leaf_tables.cache_clear()
 
 
 def test_wilson_interval_matches_hand_computed_values():
@@ -1293,6 +1268,19 @@ def test_report_states_error_intervals_and_splits_seed_failures():
     assert data["worst_error_ci95"] == list(wilson_interval(worst, cfg.trials))
 
 
+def test_trials_to_csv_writes_a_header_and_a_row_per_trial():
+    cfg = SimConfig(alpha=2.0, n=20, k=0, rate=0.25, jammer=JammerStrategy.from_symbols((0,)),
+                    code_mode="deterministic", trials=2)
+    records = simulate(cfg).per_trial
+    fh = io.StringIO()
+    trials_to_csv(records, fh)
+    lines = fh.getvalue().splitlines()
+    assert lines[0].split(",") == list(records[0]) and len(lines) == 1 + len(records)
+    # no record, no header: refused rather than an IndexError
+    with pytest.raises(ValueError, match="no trial records"):
+        trials_to_csv([], io.StringIO())
+
+
 def test_simulate_modes_without_side_rounds():
     jam = JammerStrategy.from_symbols((0,), "all-0")
     for mode in ("deterministic", "common-randomness"):
@@ -1309,8 +1297,7 @@ def test_model_crossover_cross_checks_the_estimated_one():
     cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
                     master_seed=20260813, trials=25, cr_seed_bits=1)
     rep = simulate(cfg)
-    for si, (label, stats) in enumerate(rep.per_strategy.items()):
-        vm = _vote_model(cfg.jammer.leaves()[si], cfg)
+    for vm, (label, stats) in zip(_vote_models(cfg), rep.per_strategy.items()):
         model = float(np.mean(0.5 * (vm[:, 0, 1] + vm[:, 1, 0])))
         assert stats["model_crossover"] == pytest.approx(model, rel=1e-12)
         assert stats["seed_agreement_rate"] == 1.0
@@ -1411,8 +1398,6 @@ def _counting(monkeypatch, name):
 def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     master_seed=31, trials=trials, cr_seed_bits=3)
-    for cache in (_vote_tables, _data_block_laws):
-        cache.cache_clear()
     calls = _counting(monkeypatch, "_bpsk_flip_table")
     laws = _counting(monkeypatch, "_block_laws")
     simulate(cfg)
@@ -1427,52 +1412,43 @@ def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
 def test_leaf_tables_are_built_once_per_leaf_per_run(monkeypatch, mode, k, trials):
     cfg = SimConfig(alpha=1.0, n=128, k=k, rate=0.1, jammer=canonical_schedules(),
                     code_mode=mode, master_seed=34, trials=trials, cr_seed_bits=3)
-    real = protocol._leaf_tables
-    builds = []
+    params = []
+    real_params = JammerStrategy.round_params
 
-    def build(leaf, config):
-        builds.append(leaf.label)
-        tables = real.__wrapped__(leaf, config)
+    def round_params(leaf, *args):
+        params.append((leaf.label, args))
+        return real_params(leaf, *args)
+
+    builds = _counting(monkeypatch, "_leaf_tables")
+    monkeypatch.setattr(JammerStrategy, "round_params", round_params)
+    run = _run_tables(cfg)
+    for tables in run.tables:
         for law in tables:
             assert not any(a.flags.writeable for a in law if a is not None)
-        return tables
-
-    # a cache of the same size around a counting builder
-    monkeypatch.setattr(protocol, "_leaf_tables",
-                        functools.lru_cache(**real.cache_parameters())(build))
     simulate(cfg)
-    assert sorted(builds) == sorted(leaf.label for leaf in cfg.jammer.leaves())
+    # per run, one schedule over the whole block per leaf serves its leaf
+    # tables and its vote model, and the trials build no table
+    labels = [leaf.label for leaf in cfg.jammer.leaves()]
+    assert len(builds) == 2 * len(labels)
+    assert params == 2 * [(label, (cfg.n, cfg.alpha)) for label in labels]
 
 
-_RUN_CACHE_NAMES = ("_leaf_tables", "_frame_layout", "_block_plan", "_vote_tables",
-                    "_data_block_laws")
-
-
-@pytest.mark.parametrize("fail", [False, True])
-def test_simulate_drops_its_per_config_tables(monkeypatch, fail):
+def test_simulate_leaves_no_tables_behind():
+    """A run's tables are its own: a run of another config in between does
+    not change a report, and the module keeps no table and no cache."""
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     master_seed=35, trials=2, cr_seed_bits=3)
-    caches = [getattr(protocol, name) for name in _RUN_CACHE_NAMES]
-    assert set(protocol._RUN_CACHES) == set(caches)
-    real = protocol.run_data_phase
-    sizes = []
 
-    def data_phase(*args):
-        decoded = real(*args)
-        # by the end of a trial's data phase every table of the run is built
-        sizes.append([cache.cache_info().currsize for cache in caches])
-        if fail:
-            raise RuntimeError("a failing trial")
-        return decoded
+    def module_tables():
+        return {(name, id(value)) for name, value in vars(protocol).items()
+                if isinstance(value, (np.ndarray, protocol._Run))}
 
-    monkeypatch.setattr(protocol, "run_data_phase", data_phase)
-    if fail:
-        with pytest.raises(RuntimeError, match="a failing trial"):
-            simulate(cfg)
-    else:
-        simulate(cfg)
-    assert sizes and all(size > 0 for size in sizes[0])
-    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    before = module_tables()
+    first = json.dumps(simulate(cfg).to_json_dict())
+    simulate(dataclasses.replace(cfg, alpha=1.5))
+    assert json.dumps(simulate(cfg).to_json_dict()) == first
+    assert module_tables() == before
+    assert not any(hasattr(value, "cache_info") for value in vars(protocol).values())
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -1503,13 +1479,14 @@ def test_mismatched_seed_copies_draw_two_codebooks(monkeypatch):
     assert len(ranges) == blocks * (len(rep.per_trial) + mismatched)
 
 
+# the test keeps the name it had when the run's tables were cached per config
 def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
     cfg = SimConfig(alpha=1.0, n=128, k=32, rate=0.1, jammer=canonical_schedules(),
                     cr_seed_bits=3)
-    other = dataclasses.replace(cfg, eta=0.6)
-    votes = _vote_tables(cfg)[0]
-    laws = _data_block_laws(cfg)
-    assert _vote_tables(cfg)[0] is votes and _data_block_laws(cfg) is laws
+    other = _run_tables(dataclasses.replace(cfg, eta=0.6))
+    run = _run_tables(cfg)
+    votes, laws = run.votes, run.data
+    assert run.plan == _block_plan(cfg) and len(run.crossovers) == 4
     # the round laws and their fixed-point log-likelihoods of the transfer
     # rounds' votes and of each data block
     assert votes.labels.size == cfg.k // 2 and votes.q.shape[1:] == (4, 2)
@@ -1519,8 +1496,11 @@ def test_cached_decoder_tables_are_read_only_and_keyed_on_the_config():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
-    assert not np.array_equal(_vote_tables(other)[0].q, votes.q)
-    assert not np.array_equal(_data_block_laws(other)[0].q, laws[0].q)
+    assert not np.array_equal(other.votes.q, votes.q)
+    assert not np.array_equal(other.data[0].q, laws[0].q)
+    # without a transfer phase a run has no vote laws
+    free = _run_tables(dataclasses.replace(cfg, k=0, code_mode="common-randomness"))
+    assert free.votes is None and free.crossovers is None
 
 
 def test_bpsk_flip_table_matches_the_per_round_scalar_formula():
@@ -1582,7 +1562,7 @@ def test_vote_model_matches_the_per_round_loop():
                                 cr_seed_bits=cr_seed_bits)
                 rounds = k // 2
                 masks = (np.arange(rounds) // (cr_seed_bits + 1)) % 2
-                got = protocol._vote_model(leaf, cfg)
+                got = _vote_models(cfg)[0]
                 expected = vote_model_reference(leaf, rounds, masks, cfg)
                 assert got.shape == (rounds, 2, 2)
                 assert got.tobytes() == expected.tobytes(), (source, leaf.label, rounds)
