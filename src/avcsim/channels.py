@@ -254,8 +254,9 @@ def average_crossover(table: ChannelTable) -> Optional[float]:
 # The jammer can emulate a second sender iff there is a row-stochastic
 # u(s | x) with  sum_s u(s|x) w(y|s,x') = sum_s u(s|x') w(y|s,x)  for all
 # x, x', y. That is a linear feasibility problem; the alphabets are tiny, so
-# a dense phase-1 simplex with Bland's rule is enough and keeps the
-# infeasibility certificate auditable.
+# a phase-1 simplex with Bland's rule is enough and keeps the infeasibility
+# certificate auditable. It runs on the basis inverse (the revised simplex of
+# Dantzig and Orchard-Hays): a row keeps only its artificial block and rhs.
 
 
 def _phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float) -> Optional[np.ndarray]:
@@ -265,92 +266,88 @@ def _phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float) -> Optiona
     magnitude apart (erfc(4) next to 1/2) and float pivoting on the tiny ones
     corrupts the tableau enough to lose feasible instances.
 
-    The tableau is integer-preserving. Every float is dyadic, so A and b
-    scale to integers by their largest power-of-two denominator `den`, and
-    each stored row (the objective row too) is a positive multiple of its
-    rational row: a pivot on p sets another row x to p x - f y, divided by
-    the gcd of its entries so that no row grows more than its content needs.
-    Positive multiples and the scaling of the artificial variables by den
-    keep every sign and every ratio comparison, so Bland's entering column
-    and the ratio test make the same pivots as a rational tableau, and a
-    basic value rhs / (its basic entry) rounds like the rational value it
-    stands for.
+    Every float is dyadic, so A and b scale to an integer system [A~ | b~] by
+    their largest power-of-two denominator `den` (rows with b_i < 0 negated).
+    Tableau row i is r_i [A~ | I | b~] for its artificial block r_i, a
+    positive multiple of row i of B^-1. Only r_i and its rhs are stored; an
+    entry of column j is r_i times the sparse column j, computed only where
+    Bland's rule reads it. A pivot on p sets another block to p r - f r_p,
+    divided by the gcd of its entries, which is the gcd of the whole tableau
+    row (the rest of the row is an integer combination of the block). The
+    phase-1 objective is its artificial part o and a scale s > 0: column j's
+    entry is (o + s) A~_j for structural j and o_j for artificial j, so
+    (o + s) / s is the phase-1 multiplier vector y. Every row is a positive
+    multiple of its rational row, which keeps every sign and ratio
+    comparison: Bland's entering column and the ratio test make the same
+    pivots as a rational tableau, and a basic value rhs / (its basic entry)
+    rounds like the rational value it stands for.
     """
     m, n = a_mat.shape
     ratios = [[x.as_integer_ratio() for x in row] for row in a_mat.tolist()]
     rhs_ratios = [x.as_integer_ratio() for x in b_vec.tolist()]
     den = max(d for row in (*ratios, rhs_ratios) for _, d in row)
-    # tableau columns: n structural, m artificial, then the rhs
-    tab = []
-    for i in range(m):
-        row = [num * (den // d) for num, d in ratios[i]]
-        row += [1 if k == i else 0 for k in range(m)]
-        num, d = rhs_ratios[i]
-        row.append(num * (den // d))
-        if row[-1] < 0:
-            row[:n] = [-x for x in row[:n]]
-            row[-1] = -row[-1]
-        tab.append(row)
-    # maintained phase-1 objective row (minimise the artificial sum)
-    obj = [sum(col) for col in zip(*tab)]
-    for k in range(n, n + m):
-        obj[k] -= 1
+    # the sparse columns of [A~ | I] as (row, entry) pairs, and b~
+    cols = [[] for _ in range(n)] + [[(k, 1)] for k in range(m)]
+    rhs = []
+    for i, (num, d) in enumerate(rhs_ratios):
+        sign = -1 if num < 0 else 1
+        rhs.append(sign * num * (den // d))
+        for j, (num_j, d_j) in enumerate(ratios[i]):
+            if num_j:
+                cols[j].append((i, sign * num_j * (den // d_j)))
+    col_sums = [sum(a for _, a in col) for col in cols[:n]] + [0] * m
+    inv = [[int(k == i) for k in range(m)] for i in range(m)]
+    obj, scale = [0] * m, 1
     basis = list(range(n, n + m))
     for _ in range(20000):
-        enter = -1
-        for j in range(n + m):  # Bland: first improving column
-            if obj[j] > 0 and j not in basis:
-                enter = j
-                break
-        if enter < 0:
-            break
+        for enter in range(n + m):  # Bland: first improving column
+            if enter not in basis:
+                f_obj = sum([obj[i] * a for i, a in cols[enter]]) + scale * col_sums[enter]
+                if f_obj > 0:
+                    break
+        else:
+            break  # no improving column: phase 1 is optimal
+        f_col = [sum([r[i] * a for i, a in cols[enter]]) for r in inv]
         best_i = -1
-        for i in range(m):
-            f = tab[i][enter]
+        for i, f in enumerate(f_col):
             if f > 0:
-                # ratio tab[i][-1] / f against the best, cross-multiplied
+                # ratio rhs[i] / f against the best, cross-multiplied
                 if best_i < 0:
-                    best_i, best_num, best_den = i, tab[i][-1], f
+                    best_i, best_num, best_den = i, rhs[i], f
                     continue
-                lhs, rhs = tab[i][-1] * best_den, best_num * f
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_i]):
-                    best_i, best_num, best_den = i, tab[i][-1], f
+                lhs, rhs_best = rhs[i] * best_den, best_num * f
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[best_i]):
+                    best_i, best_num, best_den = i, rhs[i], f
         if best_i < 0:
             raise LpNumericalError("phase-1 objective unbounded; inconsistent tableau")
-        pivot_row = tab[best_i]
-        for i in range(m):
-            if i != best_i:
-                tab[i] = _eliminate(tab[i], pivot_row, enter)
-        obj = _eliminate(obj, pivot_row, enter)
+        pivot_row = inv[best_i]
+        for i, f in enumerate(f_col):
+            if f and i != best_i:
+                row = [best_den * x - f * p for x, p in zip(inv[i], pivot_row)]
+                row_rhs = best_den * rhs[i] - f * best_num
+                g = math.gcd(*row)
+                inv[i], rhs[i] = ([x // g for x in row], row_rhs // g) if g > 1 else (row, row_rhs)
+        obj = [best_den * o - f_obj * p for o, p in zip(obj, pivot_row)]
+        scale *= best_den
+        g = math.gcd(scale, *obj)
+        obj, scale = [o // g for o in obj], scale // g
         basis[best_i] = enter
     else:
         raise LpNumericalError("phase-1 simplex hit the iteration cap")
     # the artificial sum num / den_sum, each term rhs / (basic entry), is den
     # times the unscaled one; compare it with tol exactly
     num, den_sum = 0, 1
+    z = np.zeros(n)
     for i, bi in enumerate(basis):
         if bi >= n:
-            num, den_sum = num * tab[i][bi] + tab[i][-1] * den_sum, den_sum * tab[i][bi]
+            p = inv[i][bi - n]
+            num, den_sum = num * p + rhs[i] * den_sum, den_sum * p
+        else:
+            z[bi] = rhs[i] / sum([inv[i][r] * a for r, a in cols[bi]])
     tol_num, tol_den = float(tol).as_integer_ratio()
     if num * tol_den > tol_num * den * den_sum:
         return None
-    z = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            z[bi] = tab[i][-1] / tab[i][bi]
     return np.maximum(z, 0.0)
-
-
-def _eliminate(row: list, pivot_row: list, enter: int) -> list:
-    """A positive multiple of row with its `enter` entry eliminated by pivot_row,
-    divided by the gcd of its entries; pivot_row[enter] must be positive."""
-    f = row[enter]
-    if f == 0:
-        return row
-    piv = pivot_row[enter]
-    new = [piv * x - f * y for x, y in zip(row, pivot_row)]
-    g = math.gcd(*new)
-    return [x // g for x in new] if g > 1 else new
 
 
 def symmetrization_residual(table: ChannelTable, u: np.ndarray) -> float:

@@ -297,17 +297,26 @@ class SimConfig:
     @classmethod
     def defaults(cls, alpha: float, n: int, rate: float, jammer: JammerStrategy,
                  **kw) -> "SimConfig":
-        """Side-phase length defaulting to the 2 log2 n scaling, rounded even.
+        """A config whose k and seed width default from the blocklength.
 
-        The seed width defaults to the most k/2 transfer rounds carry, clamped
-        to [1, 8]. In correlation-assisted mode (the default) n must be at
-        least 9: k/2 = 4 transfer rounds are the fewest that carry one seed
-        bit and its parity slot, and k < n. A smaller n raises ValueError.
+        In correlation-assisted mode (the default) k defaults to the 2 log2 n
+        scaling, rounded even, and the seed width to the most k/2 transfer
+        rounds carry, clamped to [1, 8]. The default k then needs n >= 9:
+        k/2 = 4 transfer rounds are the fewest that carry one seed bit and
+        its parity slot, and k < n; a smaller n raises ValueError. The other
+        modes have no side phase, so k defaults to 0 and the seed width to
+        the field's default.
         """
+        side_phase = kw.get("code_mode", "correlation-assisted") == "correlation-assisted"
         k = kw.pop("k", None)
-        if k is None:
-            k = 2 * math.ceil(math.log2(n)) if n > 1 else 0
-        if "cr_seed_bits" not in kw:
+        if k is None and not side_phase:
+            k = 0
+        elif k is None:
+            if n < 9:
+                raise ValueError(f"the default side-phase length k = 2 ceil(log2 n) cannot hold "
+                                 f"a transfer phase below n = 9, got n = {n}")
+            k = 2 * math.ceil(math.log2(n))
+        if side_phase and "cr_seed_bits" not in kw:
             kw["cr_seed_bits"] = min(8, max(1, _frame_capacity(k)))
         return cls(alpha=alpha, n=n, k=k, rate=rate, jammer=jammer, **kw)
 
@@ -494,28 +503,22 @@ class _LeafTables(NamedTuple):
 
 
 def _leaf_tables(rounds: tuple[np.ndarray, np.ndarray], config: SimConfig) -> _LeafTables:
-    """The read-only `_LeafTables` of a leaf whose `round_params` over the
-    block's n rounds are `rounds`."""
+    """The `_LeafTables` of a leaf whose `round_params` over the block's n
+    rounds are `rounds`."""
     half, k = config.k // 2, config.k
     big_a, disp = rounds
-    tables = _LeafTables(
+    return _LeafTables(
         _pair_law(big_a[:half], disp[:half], config.squeezing, config.eta, config.source),
         _bpsk_law(big_a[half:k], disp[half:k], config.alpha, config.eta),
         _bpsk_law(big_a[k:], disp[k:], config.alpha, config.eta),
     )
-    for a in (*tables.pair, *tables.transfer, *tables.data):
-        if a is not None:
-            a.flags.writeable = False
-    return tables
 
 
 def _frame_layout(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slot and public mask of each transfer round: the frame is the seed
     bits and a parity slot, and the mask flips after each pass of it."""
     passes, slots = np.divmod(np.arange(config.k // 2), config.cr_seed_bits + 1)
-    masks = passes % 2
-    slots.flags.writeable = masks.flags.writeable = False
-    return slots, masks
+    return slots, passes % 2
 
 
 def _block_plan(config: SimConfig) -> tuple[tuple[int, int], ...]:
@@ -620,7 +623,8 @@ class _Run(NamedTuple):
     the `_frame_layout`, the `_block_plan`, the `_vote_tables` (None without a
     transfer phase) and the `_data_block_laws`. `simulate` builds one with
     `_run_tables` and hands it to every task, pickled to a pool worker. The
-    phases below take it and the index of the leaf that jams, `strategy_idx`."""
+    phases below take it and the index of the leaf that jams, `strategy_idx`.
+    Its arrays are read-only, and so are those of an unpickled copy."""
 
     config: SimConfig
     tables: tuple[_LeafTables, ...]
@@ -630,16 +634,37 @@ class _Run(NamedTuple):
     crossovers: Optional[tuple[float, ...]]
     data: tuple["_BlockLaws", ...]
 
+    def __reduce__(self):
+        # pickle drops numpy's read-only flag, so the copy a pool worker
+        # unpickles gets it back there
+        return _read_only_run, tuple(self)
+
+
+def _read_only_run(*fields) -> _Run:
+    return _read_only(_Run(*fields))
+
+
+def _read_only(value):
+    """`value`, with every ndarray in it and in its nested tuples made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
 
 def _run_tables(config: SimConfig) -> _Run:
-    """The config's `_Run`, from one `round_params` call per leaf."""
+    """The config's read-only `_Run`, from one `round_params` call per leaf."""
     rounds = [leaf.round_params(config.n, config.alpha) for leaf in config.jammer.leaves()]
     tables = tuple(_leaf_tables(leaf_rounds, config) for leaf_rounds in rounds)
     frame, plan = _frame_layout(config), _block_plan(config)
     votes = crossovers = None
     if config.code_mode == "correlation-assisted":
         votes, crossovers = _vote_tables(rounds, tables, frame[1], config)
-    return _Run(config, tables, frame, plan, votes, crossovers, _data_block_laws(tables, plan))
+    return _read_only(_Run(config, tables, frame, plan, votes, crossovers,
+                           _data_block_laws(tables, plan)))
 
 
 # --- protocol phases --------------------------------------------------------
@@ -844,8 +869,6 @@ def _block_laws(p1: np.ndarray) -> _BlockLaws:
     plan = (2 * np.repeat(law, 2) + bit, np.repeat(word, 2), np.repeat(masks[law, word], 2),
             np.where(bit == 0, np.uint64(_MASK64), np.uint64(0)),
             np.ascontiguousarray((q[:, :, 1] - q[:, :, 0]).T, dtype=np.float64))
-    for a in (labels, masks, q, *plan):
-        a.flags.writeable = False
     return _BlockLaws(labels, masks, q, shift, *plan, np.min_scalar_type(length))
 
 

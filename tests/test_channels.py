@@ -331,6 +331,47 @@ def test_integer_simplex_matches_rational_simplex_property(ns, nx, ny, data):
                                         tuple(range(ny)), w))
 
 
+def _assert_same_simplex(a_rows, b_vec):
+    """The basis-inverse simplex gives the rational one's answer, bit for bit."""
+    a_mat, b_vec = np.array(a_rows, dtype=float), np.array(b_vec, dtype=float)
+    got = channels._phase1_simplex(a_mat, b_vec, channels.LP_FEAS_TOL)
+    expected = phase1_simplex_rational(a_mat, b_vec, channels.LP_FEAS_TOL)
+    assert (got is None) == (expected is None), (a_mat, b_vec)
+    if got is not None:
+        assert got.tobytes() == expected.tobytes(), (got, expected)
+    return got
+
+
+def test_integer_simplex_matches_rational_simplex_on_hand_built_systems():
+    """Systems `_symmetrizing_system` never builds (its b is 0 or 1 and it
+    has more columns than rows), and one where Bland's rule re-enters
+    artificial columns."""
+    # negative entries in b: their rows are negated before phase 1
+    z = _assert_same_simplex([[1, 1, 0], [0, -1, 1]], [2, -1])
+    assert z is not None and z @ [0, -1, 1] == -1
+    assert _assert_same_simplex([[0.5, -1, 0.25], [1, 0, -0.75]], [-0.75, 0.5]) is not None
+    assert _assert_same_simplex([[1, 1]], [-1]) is None  # -z1 - z2 = 1
+    # an all-zero structural column, which no pivot can enter
+    z = _assert_same_simplex([[0, 1, 2], [0, 1, -1]], [1, 0.25])
+    assert z is not None and z[0] == 0
+    assert _assert_same_simplex([[0, 0], [0, 1]], [0.5, 1]) is None
+    # infeasible: inconsistent rows, and a system whose only solution is negative
+    assert _assert_same_simplex([[1, 1], [1, 1]], [1, 2]) is None
+    assert _assert_same_simplex([[1, 0], [0, 1]], [1, -0.5]) is None
+    # more rows than columns, with a redundant row whose artificial stays basic at 0
+    z = _assert_same_simplex([[1, 0], [0, 1], [1, 1], [1, -1]], [0.5, 0.25, 0.75, 0.25])
+    assert z.tolist() == [0.5, 0.25]
+    assert _assert_same_simplex([[1, 0], [0, 1], [1, 1]], [0.5, 0.25, 1]) is None
+    # a single column
+    assert _assert_same_simplex([[2], [4], [-1]], [1, 2, -0.5]).tolist() == [0.5]
+    assert _assert_same_simplex([[1], [1]], [1, 0.5]) is None
+    assert _assert_same_simplex([[3]], [1]).tolist() == [1 / 3]
+    # avc_kernel(2.0)'s system: on it, Bland's rule re-enters an artificial
+    # column 3 times in 26 pivots, so the artificial block's entries serve
+    # as the entering column there
+    assert _assert_same_simplex(*channels._symmetrizing_system(avc_kernel(2.0))) is not None
+
+
 def test_symmetrization_residual_flags_bad_witness():
     tab = avc_kernel(1.0)
     bad = np.array([[1.0, 0.0, 0.0]] * 3)  # always play state 0

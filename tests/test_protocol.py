@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 import warnings
 
@@ -233,11 +234,21 @@ def test_sim_config_defaults_need_n_of_at_least_9_for_a_transfer_phase():
     # parity slot; n = 9 is the first blocklength whose default k has them
     jam = canonical_schedules()
     for n in range(1, 9):
-        with pytest.raises(ValueError):
+        # the error names the default k, which the caller never gave
+        with pytest.raises(ValueError, match=rf"default side-phase length .* cannot hold a "
+                                             rf"transfer phase below n = 9, got n = {n}$"):
             SimConfig.defaults(1.0, n, 0.5, jam)
     cfg = SimConfig.defaults(1.0, 9, 0.5, jam)
     assert (cfg.k, cfg.cr_seed_bits) == (8, 1)
-    # the other modes have no transfer phase and take k = 0
+    # the other modes have no transfer phase: k defaults to 0 and the seed
+    # width to the field's default
+    field_bits = SimConfig.__dataclass_fields__["cr_seed_bits"].default
+    for mode in ("common-randomness", "deterministic"):
+        for n in (8, 1024):
+            cfg = SimConfig.defaults(1.0, n, 0.5, jam, code_mode=mode)
+            assert (cfg.k, cfg.cr_seed_bits, cfg.code_mode) == (0, field_bits, mode)
+        assert SimConfig.defaults(1.0, 1024, 0.5, jam, code_mode=mode, cr_seed_bits=3,
+                                  ).cr_seed_bits == 3
     assert SimConfig.defaults(1.0, 8, 0.5, jam, k=0, code_mode="common-randomness").n == 8
 
 
@@ -1449,6 +1460,32 @@ def test_simulate_leaves_no_tables_behind():
     assert json.dumps(simulate(cfg).to_json_dict()) == first
     assert module_tables() == before
     assert not any(hasattr(value, "cache_info") for value in vars(protocol).values())
+
+
+def _arrays(value) -> list:
+    """The ndarrays in value and its nested tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def test_a_pickled_run_is_read_only_where_its_trials_run():
+    """Pickle drops numpy's read-only flag; the run a pool worker unpickles
+    gets it back, and keeps it through a trial."""
+    cfg = SimConfig(alpha=1.0, n=1024, k=800, rate=0.1, jammer=canonical_schedules(),
+                    master_seed=20260813, trials=25, cr_seed_bits=1)
+    run = _run_tables(cfg)
+    assert len(_arrays(run)) > 40 and not any(a.flags.writeable for a in _arrays(run))
+    # the same fields pickled as a plain tuple arrive writeable
+    assert all(a.flags.writeable for a in _arrays(pickle.loads(pickle.dumps(tuple(run)))))
+    copy = pickle.loads(pickle.dumps(run))
+    assert type(copy) is protocol._Run and copy.config == cfg
+    assert not any(a.flags.writeable for a in _arrays(copy))
+    records = protocol._run_trial(copy, 0, range(1))
+    assert not any(a.flags.writeable for a in _arrays(copy))
+    assert repr(records) == repr(protocol._run_trial(run, 0, range(1)))
 
 
 @pytest.mark.parametrize("trials", [1, 3])
