@@ -17,10 +17,10 @@ means b and correlations rho in, (N, 2, 2) laws out, with
 `quadrant_distribution` as its one-row call. `bivariate_normal_cdf` is the
 kernel's one-row call at general (x, y). The node tables (sin(t asin rho)
 and cos^2 below the switch, the remainder's abscissae above it) depend on
-rho alone; a batch builds them once per distinct rho and gathers them per
-point. The states of one jammer-grid row (one A) share rho, so at resolution
-64 a table serves about 60 points. Every elementwise operation is the
-per-point one, so the bits are too.
+rho alone; a kernel call (at most _BLOCK rows) builds them once per distinct
+rho and gathers them per point. The states of one jammer-grid row (one A)
+share rho, so at resolution 64 a table serves about 60 points. Every
+elementwise operation is the per-point one, so the bits are too.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from .gaussian import GaussianState
 
 # Correlations this close to +/-1 are rejected rather than integrated.
 RHO_LIMIT = 1.0 - 1e-9
+
+# Rows per kernel call. The kernel holds (rows x 20 nodes) temporaries, so
+# `quadrant_laws` keeps each near 0.3 MB however many rows it is given; the
+# geometry sweep evaluates its per-point stages in blocks of the same size.
+_BLOCK = 2048
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # The same rule mapped from [-1, 1] to [0, 1].
@@ -236,12 +241,17 @@ def _orthant_far(h, k, rho, phi_mh, phi_mk):
     rhos, inverse = _distinct_bits(rho)
     asr = np.arcsin(rhos)
     sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
-    asr, f, cos2 = (np.take(t, inverse, axis=0) for t in (asr, sn, 1.0 - sn * sn))
-    # f = exp((sn hk - hs) / cos2) in place: a fresh N x 20 temporary per step
-    # would cost more in page faults than its arithmetic
-    f *= hk
-    f -= hs
-    f /= cos2
+    asr, cos2 = np.take(asr, inverse), np.take(1.0 - sn * sn, inverse, axis=0)
+    # f = exp((sn hk - hs) / cos2), in place: a fresh N x 20 temporary per
+    # step would cost more in page faults than its arithmetic
+    if hk.any():
+        f = np.take(sn, inverse, axis=0)
+        f *= hk
+        f -= hs
+        f /= cos2
+    else:
+        # hk = 0 (every quadrant law): -hs but for the sign of a zero, which exp drops
+        f = -hs / cos2
     np.exp(f, out=f)
     return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
 
@@ -284,7 +294,9 @@ def quadrant_laws(b, rho) -> np.ndarray:
     the rest follow from the marginals, so q00 + q01 = 1/2 holds identically.
     The checks and clipping of BinaryJointDist are applied to every row; each
     check fails on NaN. Measured against a 30-digit reference, the absolute
-    error of q00 stays below 1e-15 for |rho| <= RHO_LIMIT.
+    error of q00 stays below 1e-15 for |rho| <= RHO_LIMIT. Any number of rows
+    is taken; the kernel sees them _BLOCK at a time, so a row's bits are those
+    of the same call on its block alone. At rho = 0, q00 = Phi(-b)/2 exactly.
     """
     b = np.asarray(b, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -295,12 +307,16 @@ def quadrant_laws(b, rho) -> np.ndarray:
     if not np.all(np.abs(rho) <= RHO_LIMIT):
         raise ValueError(f"|rho| must be <= {RHO_LIMIT}, got max {np.max(np.abs(rho))}")
     phi_mb = std_normal_cdf_array(-b)
-    q00 = np.clip(_upper_orthant(np.zeros_like(b), b, rho, np.full_like(b, 0.5), phi_mb),
-                  0.0, 1.0)
+    q00 = np.empty_like(b)
+    for lo in range(0, b.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        q00[part] = _upper_orthant(np.zeros_like(b[part]), b[part], rho[part],
+                                   np.full_like(b[part], 0.5), phi_mb[part])
+    np.clip(q00, 0.0, 1.0, out=q00)
     q = np.stack([q00, 0.5 - q00, phi_mb - q00, 0.5 - phi_mb + q00], axis=-1)
     if not np.all(q >= -1e-9):
         raise ValueError(f"quadrant law has a negative or NaN probability (min {np.min(q)})")
-    if not np.all(np.abs(q.sum(axis=-1) - 1.0) <= 1e-9):
+    if not np.all(np.abs(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] - 1.0) <= 1e-9):
         raise ValueError("quadrant law probabilities do not sum to 1")
     return np.maximum(q, 0.0).reshape(-1, 2, 2)
 

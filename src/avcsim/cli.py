@@ -92,6 +92,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"bad sweep input: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"sweep at resolution {args.resolution} does not fit in memory", file=sys.stderr)
+        return 2
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             sweep_to_csv(records, fh)
@@ -150,7 +153,11 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         return _cannot_write(exc, args.out)
     started = time.time()
-    report = simulate(config, workers=args.workers)
+    try:
+        report = simulate(config, workers=args.workers)
+    except MemoryError:
+        print(f"config {args.config} does not fit in memory (n = {config.n})", file=sys.stderr)
+        return 2
     report_path = os.path.join(args.out, "report.json")
     payload = report.to_json_dict()
     payload["manifest"] = "manifest.json"

@@ -25,6 +25,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .bivariate import (
+    _BLOCK,
     BinaryJointDist,
     _distinct_bits,
     binarized_correlation_array,
@@ -45,9 +46,6 @@ COORD_SUM_ATOL = 1e-10
 MEMBERSHIP_ATOL = 1e-10
 AFFINE_HULL_ATOL = 1e-8
 
-# Points per evaluation block. The quadrant kernel holds (points x 20 nodes)
-# temporaries, so blocks keep each near 0.3 MB however large the grid is.
-_BLOCK = 2048
 # Rows per sweep_to_csv write: about 0.1 MB of text.
 _CSV_ROWS = 512
 

@@ -456,31 +456,26 @@ def _bpsk_outputs(x: np.ndarray, law: tuple[np.ndarray, np.ndarray], rng) -> np.
 
 
 def _pair_law(big_a: np.ndarray, disp: np.ndarray, r: float, eta: float,
-              source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+              source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Law of the entangled symbol's rounds under jammer x-moments (A, a):
-    the receiver port's x-mean and x-sd, rho, the correlation of its x record
-    with the kept mode's, and sqrt(1 - rho^2), None for the thermal source
-    (its sender tosses a coin, and its rho can round above 1)."""
+    the receiver port's x-mean and x-sd, and rho, the correlation of its x
+    record with the kept mode's. The thermal source has the same receiver
+    marginal and rho = 0: its sender's sign bit is independent of it."""
     mean_b, var_b, rho = receiver_port_moments(big_a, disp, r, eta)
-    rho_c = None if source == "thermal" else np.sqrt(1.0 - rho * rho)
-    return mean_b, np.sqrt(var_b), rho, rho_c
+    if source == "thermal":
+        rho = np.zeros_like(rho)
+    return mean_b, np.sqrt(var_b), rho
 
 
 def _pair_outputs(law: tuple, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sign bits (u, v), 1 for a nonnegative quadrature, for the entangled
     symbol under the rounds' `_pair_law`; with a sequence of generators
-    (`_per_trial`), one row per trial. Each generator draws z1, then z2,
-    then (thermal source) the coins."""
-    mean_b, sd_b, rho, rho_c = law
+    (`_per_trial`), one row per trial. Each generator draws z1, then z2."""
+    mean_b, sd_b, rho = law
     n_rounds = mean_b.shape[0]
     z1 = _per_trial(rng, lambda gen: gen.standard_normal(n_rounds))
     z2 = _per_trial(rng, lambda gen: gen.standard_normal(n_rounds))
-    if rho_c is None:
-        # unentangled substitute: same receiver marginal, sender tosses a coin
-        u = _per_trial(rng, lambda gen: gen.integers(0, 2, size=n_rounds, dtype=np.int64))
-        quad_b = mean_b + sd_b * z2
-        return u, (quad_b >= 0.0).astype(np.int64)
-    quad_b = mean_b + sd_b * (rho * z1 + rho_c * z2)
+    quad_b = mean_b + sd_b * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2)
     return (z1 >= 0.0).astype(np.int64), (quad_b >= 0.0).astype(np.int64)
 
 
@@ -493,11 +488,12 @@ def _pair_outputs(law: tuple, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _LeafTables(NamedTuple):
-    """One leaf's laws over the block: the `_pair_law` of phase 1 (the k/2
-    sign-pair rounds) and the `_bpsk_law` (mean, sd) of phase 2 (the k/2
+    """One leaf's laws over the block: the `_pair_law` (mean, sd, rho) of
+    phase 1 (the k/2 sign-pair rounds), which its sampler and the seed-phase
+    vote model both read, and the `_bpsk_law` (mean, sd) of phase 2 (the k/2
     transfer rounds) and phase 3 (the n - k data rounds)."""
 
-    pair: tuple
+    pair: tuple[np.ndarray, np.ndarray, np.ndarray]
     transfer: tuple[np.ndarray, np.ndarray]
     data: tuple[np.ndarray, np.ndarray]
 
@@ -552,34 +548,16 @@ def _bpsk_flip_table(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return std_normal_cdf_array(-np.clip(mean, -bound, bound) / sd[:, None])
 
 
-def _pair_joint_table(big_a: np.ndarray, disp: np.ndarray,
-                      config: SimConfig) -> np.ndarray:
-    """qa[i, u, v] = joint law of the sign-bit pair under round i's jammer state.
-
-    Only the x-quadrature moments (A, a) enter, so states are deduplicated on
-    that pair (with -0.0 folded into +0.0, which gives the same law) and the
-    laws come from one `quadrant_laws` call. The thermal source keeps the
-    receiver marginal but carries no correlation: the sender's bit is an
-    independent coin.
-    """
-    keys, inverse = _unique_rows(np.column_stack([big_a, disp]) + 0.0)
-    mean_b, var_b, rho = receiver_port_moments(keys[:, 0], keys[:, 1], config.squeezing,
-                                               config.eta)
-    b = mean_b / np.sqrt(var_b)
-    if config.source == "thermal":
-        pv1 = std_normal_cdf_array(b)
-        table = np.empty((keys.shape[0], 2, 2))
-        table[:, :, 0] = 0.5 * (1.0 - pv1)[:, None]
-        table[:, :, 1] = 0.5 * pv1[:, None]
-    else:
-        table = quadrant_laws(b, rho)
-    return table[inverse]
+def _pair_joint_table(law: tuple) -> np.ndarray:
+    """qa[i, u, v] = joint law of round i's sign-bit pair under its `_pair_law`."""
+    mean_b, sd_b, rho = law
+    return quadrant_laws(mean_b / sd_b, rho)
 
 
-def _vote_model(rounds: tuple, tables: _LeafTables, masks: np.ndarray,
-                config: SimConfig) -> np.ndarray:
-    """vm[i, f, w] = P(vote_i = w | frame bit f) under one candidate schedule;
-    `rounds` and `tables` are its `_leaf_tables` argument and result.
+def _vote_model(tables: _LeafTables, masks: np.ndarray) -> np.ndarray:
+    """vm[i, f, w] = P(vote_i = w | frame bit f) under one candidate schedule,
+    from its `_LeafTables`: the sign-pair law the phase-1 sampler draws from
+    and the transfer phase's BPSK law.
 
     Round i of the transfer phase is global round k/2 + i and consumes the
     sign-bit pair of global round i, so the two schedule slices differ for
@@ -587,8 +565,7 @@ def _vote_model(rounds: tuple, tables: _LeafTables, masks: np.ndarray,
     pair law and BPSK law (`channels._xor_mix`) read at input f XOR m and
     output w XOR m, m the public mask.
     """
-    half = config.k // 2
-    qa = _pair_joint_table(rounds[0][:half], rounds[1][:half], config)
+    qa = _pair_joint_table(tables.pair)
     p1 = _bpsk_flip_table(*tables.transfer)
     eff = _xor_mix(qa, np.stack([1.0 - p1, p1], axis=-1))
     m = masks[:, None, None]
@@ -596,15 +573,15 @@ def _vote_model(rounds: tuple, tables: _LeafTables, masks: np.ndarray,
     return eff[np.arange(m.shape[0])[:, None, None], bit[:, None] ^ m, bit ^ m]
 
 
-def _vote_tables(rounds: list, tables: tuple, masks: np.ndarray,
+def _vote_tables(tables: tuple, masks: np.ndarray,
                  config: SimConfig) -> tuple["_BlockLaws", tuple[float, ...]]:
     """`_block_laws(vm[..., 1])` of the `_vote_model`s vm[h, i, f, w] =
     P(vote_i = w | frame bit f) under leaf h, and per leaf the crossover
     averaged over inputs and rounds (the report's `model_crossover`)."""
-    vm = np.stack([_vote_model(*leaf, masks, config) for leaf in zip(rounds, tables)])
+    vm = np.stack([_vote_model(leaf, masks) for leaf in tables])
     if config.source == "thermal":
-        # u is a coin, so both frame bits have one vote law; only the order of
-        # `_xor_mix`'s sums tells them apart, and their mean ties every slot
+        # u is a coin, so both frame bits have one vote law; float rounding
+        # tells them apart in the last bit, and their mean ties every slot
         vm = 0.5 * (vm + vm[:, :, ::-1])
     crossover = 0.5 * (vm[:, :, 0, 1] + vm[:, :, 1, 0])
     return _block_laws(vm[..., 1]), tuple(math.fsum(row) / len(row) for row in crossover.tolist())
@@ -657,12 +634,12 @@ def _read_only(value):
 
 def _run_tables(config: SimConfig) -> _Run:
     """The config's read-only `_Run`, from one `round_params` call per leaf."""
-    rounds = [leaf.round_params(config.n, config.alpha) for leaf in config.jammer.leaves()]
-    tables = tuple(_leaf_tables(leaf_rounds, config) for leaf_rounds in rounds)
+    tables = tuple(_leaf_tables(leaf.round_params(config.n, config.alpha), config)
+                   for leaf in config.jammer.leaves())
     frame, plan = _frame_layout(config), _block_plan(config)
     votes = crossovers = None
     if config.code_mode == "correlation-assisted":
-        votes, crossovers = _vote_tables(rounds, tables, frame[1], config)
+        votes, crossovers = _vote_tables(tables, frame[1], config)
     return _read_only(_Run(config, tables, frame, plan, votes, crossovers,
                            _data_block_laws(tables, plan)))
 

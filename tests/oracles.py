@@ -76,6 +76,7 @@ from avcsim.protocol import (
     _bpsk_flip_table,
     _bpsk_law,
     _pair_joint_table,
+    _pair_law,
     _rng,
     run_correlation_phase,
     run_cr_phase,
@@ -268,7 +269,8 @@ def vote_model_reference(leaf: JammerStrategy, rounds: int, masks: np.ndarray,
     read the XOR-effective channel: vote = y XOR mask XOR v for a sender input
     f XOR mask XOR u. Each cell gets its four terms in (u, v) order from 0.0.
     """
-    qa = _pair_joint_table(*leaf.round_params(rounds, config.alpha, 0), config)
+    qa = _pair_joint_table(_pair_law(*leaf.round_params(rounds, config.alpha, 0),
+                                     config.squeezing, config.eta, config.source))
     p1 = _bpsk_flip_table(*_bpsk_law(*leaf.round_params(rounds, config.alpha, config.k // 2),
                                      config.alpha, config.eta))
     idx = np.arange(rounds)

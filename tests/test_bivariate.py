@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avcsim import bivariate
 from avcsim.bivariate import (
     RHO_LIMIT,
     _upper_orthant,
@@ -362,6 +363,26 @@ def test_quadrant_kernel_checks_reject_bad_rows():
             quadrant_laws(b, rho)
     with pytest.raises(ValueError):
         quadrant_laws([0.1, 0.2], [0.5])
+
+
+def test_quadrant_laws_of_a_large_batch_are_those_of_its_blocks(monkeypatch):
+    # the kernel sees at most 2048 rows per call, so a batch of any size
+    # gives each row the bits of the same call on its block alone; rho spans
+    # both kernel branches
+    rng = np.random.default_rng(67)
+    b = rng.normal(0.0, 3.0, 5000)
+    rho = rng.uniform(-RHO_LIMIT, RHO_LIMIT, 5000)
+    parts = [quadrant_laws(b[lo:hi], rho[lo:hi])
+             for lo, hi in ((0, 2048), (2048, 4096), (4096, 5000))]
+    rows = []
+
+    def recording(h, *args):
+        rows.append(len(h))
+        return _upper_orthant(h, *args)
+
+    monkeypatch.setattr(bivariate, "_upper_orthant", recording)
+    assert quadrant_laws(b, rho).tobytes() == np.concatenate(parts).tobytes()
+    assert rows == [2048, 2048, 904]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -318,6 +318,30 @@ def test_sweep_resolution_below_2_exits_2(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    # what numpy raises for an array larger than memory, without allocating it
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+
+def test_sweep_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep_records", _out_of_memory)
+    out_csv = tmp_path / "s.csv"
+    assert main(["sweep", "--alpha", "1.0", "--resolution", "100000",
+                 "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err == "sweep at resolution 100000 does not fit in memory\n"
+    assert not out_csv.exists()
+
+
+def test_simulate_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", _out_of_memory)
+    path = _sim_config_file(tmp_path)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config {path} does not fit in memory (n = 24)\n"
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_sweep_writes_nan_where_a_bit_statistic_is_undefined(tmp_path, capsys):
     # without sender light the receiver bit follows the jammer's displacement:
     # at the grid's edge one bit's variance rounds to 0, and in some of those
@@ -450,8 +474,8 @@ PINNED_RUNS = {
         "c62236516bbfcb18aaed2ba4bb42a411210d5c1743c3bdb4cba430f31859ae71"),
     "thermal": (
         {"k": 32, "cr_seed_bits": 3, "source": "thermal"},
-        "2e8b921ff8cf5cb101817fdace9023eb90d90ccef75b22655cd58e9a71e241cc",
-        "4e9396ff5721f1cd738023569db0a15f65d10ab2e0c152edefe5b97082dba388"),
+        "d459745aa39de06b83854df2a7f99d1a4ebd2e3b95099f52fb18420dfe8834ea",
+        "de2ed7464b879c4dae0a797c8134bd60e40939818b0653afc9d7ec13bd80a2e2"),
     "common-randomness": (
         {"code_mode": "common-randomness"},
         "6ee8b692a5866345835ac5b29b2bad67f0905167de51125836ee5cd125b9995a",

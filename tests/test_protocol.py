@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from avcsim.bivariate import (BinaryJointDist, quadrant_distribution, quadrant_laws, homodyne_xx,
-                              std_normal_cdf)
+                              std_normal_cdf, std_normal_cdf_array)
 from avcsim.channels import avc_kernel, binary_entropy, bsc_table, crossover_probs
 from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, receiver_port_moments
 from avcsim.protocol import (
@@ -952,8 +952,7 @@ def _vote_models(cfg: SimConfig) -> np.ndarray:
     """vm[h, i, f, w] = P(vote_i = w | frame bit f) under leaf h of the
     config's jammer, each from its `_vote_model`."""
     masks = protocol._frame_layout(cfg)[1]
-    return np.stack([_vote_model(leaf.round_params(cfg.n, cfg.alpha), tables, masks, cfg)
-                     for leaf, tables in zip(cfg.jammer.leaves(), _run_tables(cfg).tables)])
+    return np.stack([_vote_model(tables, masks) for tables in _run_tables(cfg).tables])
 
 
 _SEED_JAMMERS = {
@@ -1074,9 +1073,11 @@ def test_slot_sums_of_a_frame_that_does_not_divide_the_transfer_rounds(transfer,
     assert (cfg.k // 2) % (cfg.cr_seed_bits + 1) == 1
     run = _run_tables(cfg)
     if source == "thermal":
-        # rho rounds above 1 at this squeezing, where sqrt(1 - rho^2) would warn
-        rho = run.tables[0].pair[2]
-        assert np.all(rho > 1.0)
+        # the port's rho rounds above 1 at this squeezing, where sqrt(1 - rho^2)
+        # would warn; the thermal law's rho is 0
+        big_a, disp = cfg.jammer.leaves()[0].round_params(cfg.k // 2, cfg.alpha)
+        assert np.all(receiver_port_moments(big_a, disp, cfg.squeezing, cfg.eta)[2] > 1.0)
+        assert all(np.array_equal(leaf.pair[2], np.zeros(cfg.k // 2)) for leaf in run.tables)
     laws = run.votes
     sums = []
     real = protocol._slot_sums
@@ -1435,7 +1436,7 @@ def test_leaf_tables_are_built_once_per_leaf_per_run(monkeypatch, mode, k, trial
     run = _run_tables(cfg)
     for tables in run.tables:
         for law in tables:
-            assert not any(a.flags.writeable for a in law if a is not None)
+            assert not any(a.flags.writeable for a in law)
     simulate(cfg)
     # per run, one schedule over the whole block per leaf serves its leaf
     # tables and its vote model, and the trials build no table
@@ -1569,17 +1570,39 @@ def test_a_displacement_near_the_double_maximum_runs_without_overflow():
                 assert len(simulate(cfg).per_trial) == 2
 
 
-def test_pair_joint_table_gives_each_round_its_own_law():
-    # the rounds are deduplicated on (A, a) with -0.0 folded into +0.0; each
-    # round still gets the bits of its own law, signed zero and all
+def _signed_zero_rounds() -> tuple[np.ndarray, np.ndarray, SimConfig]:
+    """300 rounds of jammer x-moments (A, a) with both signed zeros, and a config."""
     rng = np.random.default_rng(66)
     big_a = rng.choice([0.0, -0.0, 0.25, 0.5, 1.5], 300)
     disp = rng.choice([0.0, -0.0, 0.3, -0.3, 1.1], 300)
     cfg = SimConfig(alpha=1.1, n=200, k=60, rate=0.2, jammer=canonical_schedules(),
                     cr_seed_bits=3)
+    return big_a, disp, cfg
+
+
+def test_pair_joint_table_is_the_quadrant_law_of_each_round():
+    # the vote model reads the sampler's law: each round gets the bits of its
+    # own (b, rho), signed zero and all
+    big_a, disp, cfg = _signed_zero_rounds()
+    law = _pair_law(big_a, disp, cfg.squeezing, cfg.eta, "tmsv")
     mean_b, var_b, rho = receiver_port_moments(big_a, disp, cfg.squeezing, cfg.eta)
     expected = quadrant_laws(mean_b / np.sqrt(var_b), rho)
-    assert protocol._pair_joint_table(big_a, disp, cfg).tobytes() == expected.tobytes()
+    assert protocol._pair_joint_table(law).tobytes() == expected.tobytes()
+
+
+def test_thermal_pair_joint_table_is_the_product_law():
+    # rho = 0 zeroes the kernel's integral term: q00 = Phi(-b)/2 exactly, and
+    # the sender's bit is a fair coin independent of the receiver's
+    big_a, disp, cfg = _signed_zero_rounds()
+    mean_b, sd_b, rho = _pair_law(big_a, disp, cfg.squeezing, cfg.eta, "thermal")
+    assert np.array_equal(rho, np.zeros(len(big_a)))
+    q = protocol._pair_joint_table((mean_b, sd_b, rho))
+    b = mean_b / sd_b
+    assert q[:, 0, 0].tolist() == (0.5 * std_normal_cdf_array(-b)).tolist()
+    assert q[:, 0, 0].tolist() == q[:, 1, 0].tolist()
+    # q01 = 1/2 - q00 and q11 = 1/2 - Phi(-b) + q00 round apart by at most
+    # half an ulp of 1/2
+    assert np.all(np.abs(q[:, 0, 1] - q[:, 1, 1]) <= 2.0 ** -54)
 
 
 def test_vote_model_matches_the_per_round_loop():
