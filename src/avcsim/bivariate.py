@@ -241,17 +241,12 @@ def _orthant_far(h, k, rho, phi_mh, phi_mk):
     rhos, inverse = _distinct_bits(rho)
     asr = np.arcsin(rhos)
     sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
-    asr, cos2 = np.take(asr, inverse), np.take(1.0 - sn * sn, inverse, axis=0)
-    # f = exp((sn hk - hs) / cos2), in place: a fresh N x 20 temporary per
-    # step would cost more in page faults than its arithmetic
-    if hk.any():
-        f = np.take(sn, inverse, axis=0)
-        f *= hk
-        f -= hs
-        f /= cos2
-    else:
-        # hk = 0 (every quadrant law): -hs but for the sign of a zero, which exp drops
-        f = -hs / cos2
+    asr, f, cos2 = (np.take(t, inverse, axis=0) for t in (asr, sn, 1.0 - sn * sn))
+    # f = exp((sn hk - hs) / cos2) in place: a fresh N x 20 temporary per step
+    # would cost more in page faults than its arithmetic
+    f *= hk
+    f -= hs
+    f /= cos2
     np.exp(f, out=f)
     return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
 
@@ -316,7 +311,7 @@ def quadrant_laws(b, rho) -> np.ndarray:
     q = np.stack([q00, 0.5 - q00, phi_mb - q00, 0.5 - phi_mb + q00], axis=-1)
     if not np.all(q >= -1e-9):
         raise ValueError(f"quadrant law has a negative or NaN probability (min {np.min(q)})")
-    if not np.all(np.abs(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] - 1.0) <= 1e-9):
+    if not np.all(np.abs(q.sum(axis=-1) - 1.0) <= 1e-9):
         raise ValueError("quadrant law probabilities do not sum to 1")
     return np.maximum(q, 0.0).reshape(-1, 2, 2)
 

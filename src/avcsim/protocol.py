@@ -549,9 +549,15 @@ def _bpsk_flip_table(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
 
 def _pair_joint_table(law: tuple) -> np.ndarray:
-    """qa[i, u, v] = joint law of round i's sign-bit pair under its `_pair_law`."""
+    """qa[i, u, v] = joint law of round i's sign-bit pair under its `_pair_law`.
+
+    A leaf's rounds share few (b, rho), so the kernel evaluates each distinct
+    pair once (-0.0 folded into +0.0, which gives the same law) and every
+    round gathers its own.
+    """
     mean_b, sd_b, rho = law
-    return quadrant_laws(mean_b / sd_b, rho)
+    keys, inverse = _unique_rows(np.column_stack([mean_b / sd_b, rho]) + 0.0)
+    return quadrant_laws(keys[:, 0], keys[:, 1])[inverse]
 
 
 def _vote_model(tables: _LeafTables, masks: np.ndarray) -> np.ndarray:

@@ -1580,13 +1580,17 @@ def _signed_zero_rounds() -> tuple[np.ndarray, np.ndarray, SimConfig]:
     return big_a, disp, cfg
 
 
-def test_pair_joint_table_is_the_quadrant_law_of_each_round():
-    # the vote model reads the sampler's law: each round gets the bits of its
-    # own (b, rho), signed zero and all
+def test_pair_joint_table_gives_each_round_its_own_law():
+    # the tmsv law is the receiver port's (mean, sd, rho); its rounds are
+    # deduplicated on (b, rho) with -0.0 folded into +0.0, and each round still
+    # gets the bits of its own quadrant law, signed zero and all
     big_a, disp, cfg = _signed_zero_rounds()
     law = _pair_law(big_a, disp, cfg.squeezing, cfg.eta, "tmsv")
     mean_b, var_b, rho = receiver_port_moments(big_a, disp, cfg.squeezing, cfg.eta)
-    expected = quadrant_laws(mean_b / np.sqrt(var_b), rho)
+    assert [x.tobytes() for x in law] == [x.tobytes() for x in (mean_b, np.sqrt(var_b), rho)]
+    b = mean_b / np.sqrt(var_b)
+    assert np.any(np.signbit(b) & (b == 0.0)) and len(np.unique(b)) < len(b)
+    expected = quadrant_laws(b, rho)
     assert protocol._pair_joint_table(law).tobytes() == expected.tobytes()
 
 
