@@ -130,13 +130,17 @@ def crossover_probs(alpha: float) -> tuple[float, float]:
 
     p is the flip probability when the jammer plays the sender's coherent
     symbol; p_tilde when exactly one side contributes the entangled/thermal
-    symbol. Both tend to 1/2 as alpha -> 0 and to 0 as alpha grows.
+    symbol. Both tend to 1/2 as alpha -> 0. As alpha grows p tends to 0 and
+    p_tilde to erfc(1)/2, about 0.0786, which it takes where alpha * alpha
+    overflows (alpha above about 1.34e154).
     """
     _require_finite("amplitude", alpha)
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     p = 0.5 * math.erfc(2.0 * alpha)
-    p_tilde = 0.5 * math.erfc(alpha / math.sqrt(1.0 + alpha * alpha))
+    square = alpha * alpha
+    ratio = alpha / math.sqrt(1.0 + square) if square < math.inf else 1.0
+    p_tilde = 0.5 * math.erfc(ratio)
     return p, p_tilde
 
 

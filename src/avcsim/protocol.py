@@ -29,6 +29,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .bivariate import (
     RHO_LIMIT,
     BinaryJointDist,
+    _distinct_bits,
     _math_map,
     quadrant_distribution,  # noqa: F401  perfbench traces this module attribute
     quadrant_laws,
@@ -543,9 +544,12 @@ def _bpsk_flip_table(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
     The mean is clipped to 40 sd first, so that mean / sd cannot overflow:
     the normal CDF is exactly 0 or 1 in double precision beyond 38.5 sd.
+    A leaf's rounds share few laws, so erfc runs once per distinct argument.
     """
     bound = 40.0 * sd[:, None]
-    return std_normal_cdf_array(-np.clip(mean, -bound, bound) / sd[:, None])
+    x = -np.clip(mean, -bound, bound) / sd[:, None]
+    keys, inverse = _distinct_bits(x)
+    return std_normal_cdf_array(keys)[inverse.reshape(x.shape)]
 
 
 def _pair_joint_table(law: tuple) -> np.ndarray:
@@ -595,10 +599,14 @@ def _vote_tables(tables: tuple, masks: np.ndarray,
 
 def _data_block_laws(tables: tuple, plan: tuple) -> tuple["_BlockLaws", ...]:
     """`_block_laws` of each data sub-block's slice of the data phase's flip
-    tables p1[h, i, x] under every leaf; p1 itself is not kept."""
+    tables p1[h, i, x] under every leaf; p1 itself is not kept. Blocks with
+    equal slices (a periodic schedule repeats them) share one `_BlockLaws`."""
     p1 = np.stack([_bpsk_flip_table(*leaf.data) for leaf in tables])
     starts = np.cumsum([0] + [length for length, _ in plan])
-    return tuple(_block_laws(p1[:, a:b]) for a, b in zip(starts[:-1], starts[1:]))
+    blocks = [p1[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
+    keys = [(block.shape, block.tobytes()) for block in blocks]
+    laws = {key: _block_laws(block) for key, block in dict(zip(keys, blocks)).items()}
+    return tuple(laws[key] for key in keys)
 
 
 class _Run(NamedTuple):

@@ -79,6 +79,28 @@ def test_crossover_probs_limits():
     assert all(b[0] < a[0] and b[1] < a[1] for a, b in zip(values, values[1:]))
 
 
+def test_crossover_probs_where_the_square_of_alpha_overflows():
+    # alpha * alpha overflows past about 1.34e154, where alpha / sqrt(1 + alpha^2)
+    # would read 0 and p_tilde 1/2; the ratio's limit there is 1
+    limit = 0.5 * math.erfc(1.0)
+    edge = math.sqrt(1.7976931348623157e308)
+    past = math.nextafter(edge, math.inf)
+    assert edge * edge < math.inf and past * past == math.inf
+    for alpha in (1e154, edge, past, 1e200, 1.7976931348623157e308):
+        p, pt = crossover_probs(alpha)
+        assert p == 0.0
+        assert pt == pytest.approx(limit, rel=1e-15)
+    for alpha in (1e10, past, 1e200, 1.7976931348623157e308):
+        assert crossover_probs(alpha)[1] == limit
+    # wherever the square is finite the value is the formula's, bit for bit
+    rng = np.random.default_rng(54)
+    finite = np.concatenate([10.0 ** rng.uniform(-3.0, math.log10(1.34e154), 2000),
+                             10.0 ** rng.uniform(8.0, 154.0, 2000), [edge]])
+    for alpha in finite.tolist():
+        assert alpha * alpha < math.inf
+        assert crossover_probs(alpha)[1] == 0.5 * math.erfc(alpha / math.sqrt(1.0 + alpha * alpha))
+
+
 def test_channel_table_validation_and_accessors():
     with pytest.raises(ValueError, match="shape"):
         ChannelTable((0,), (0, 1), (0, 1), np.ones((2, 2, 2)) * 0.5)

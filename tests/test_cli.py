@@ -16,9 +16,11 @@ import avcsim.cli as cli
 from avcsim.bivariate import BinaryJointDist
 from avcsim.channels import avc_kernel, bsc_table, crossover_probs
 from avcsim.cli import main
+from avcsim.geometry import EnergyBudget
 from avcsim.protocol import SimConfig, canonical_schedules, simulate
 
-from oracles import binarized_correlation_reference, mutual_information_bits_reference
+from oracles import (binarized_correlation_reference, mutual_information_bits_reference,
+                     sweep_csv_reference)
 
 
 def _sim_config_file(tmp_path, **overrides):
@@ -35,6 +37,17 @@ def test_params_prints_channel_constants(capsys):
     p, pt = crossover_probs(1.0)
     assert repr(p) in out and repr(pt) in out
     assert "capacity" in out
+
+
+@pytest.mark.parametrize("alpha", ["1e154", "1e200", "1.7976931348623157e308"])
+def test_params_at_an_amplitude_whose_square_overflows_print_the_limit(alpha, capsys):
+    # alpha * alpha overflows past about 1.34e154; p_tilde's limit is erfc(1)/2
+    assert main(["params", "--alpha", "1e10"]) == 0
+    limit = capsys.readouterr().out.splitlines()
+    assert main(["params", "--alpha", alpha]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == limit[1] == f"{'p_tilde':<22}0.07864960352514257"
+    assert lines[3] == limit[3] == f"{'capacity_1m_h_ptilde':<22}0.6025969807153305"
 
 
 def test_params_rejects_nonpositive_alpha(capsys):
@@ -54,6 +67,17 @@ def test_sweep_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "sweep"
     assert manifest["outputs"] == ["s.csv"]
     assert manifest["config"]["resolution"] == 8
+
+
+def test_sweep_file_bytes_are_those_of_the_per_row_writer(tmp_path, capsys):
+    # the sweep perfbench times, written through the file the CLI opens
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "1", "--resolution", "64", "--out", str(out_csv)]) == 0
+    expected = tmp_path / "reference.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        rows = sweep_csv_reference(EnergyBudget(1.0), math.asinh(1.0), 0.5, 64, fh)
+    assert f"wrote {rows} rows" in capsys.readouterr().out
+    assert out_csv.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -198,6 +198,32 @@ def test_sweep_csv_matches_the_per_row_writer(alpha):
         assert got.getvalue() == expected.getvalue(), (alpha, eta, resolution)
 
 
+def test_sweep_csv_calls_repr_once_per_distinct_value_of_each_chunk(monkeypatch):
+    # repr is looked up in geometry's globals before the builtins, so a module
+    # attribute of that name sees every call; each write ends one chunk
+    budget = EnergyBudget(1.0)
+    records = sweep_records(budget, default_squeezing(budget), 0.5, 64)
+    assert len(records) > 2 * _CSV_ROWS
+    called, chunks = [], []
+    monkeypatch.setattr(geometry, "repr", lambda x: called.append(x) or repr(x),
+                        raising=False)
+
+    class Chunks(io.StringIO):
+        def write(self, text):
+            chunks.append(len(called))
+            return super().write(text)
+
+    sweep_to_csv(records, Chunks(newline=""))
+    assert len(chunks) == 1 + -(-len(records) // _CSV_ROWS)
+    columns = np.column_stack([records.q[:, int(n[1]), int(n[2])] if n[0] == "q"
+                               else getattr(records, n) for n in CSV_COLUMNS])
+    bits = np.array(called, dtype=float).view(np.int64)
+    assert chunks[0] == 0 and chunks[-1] == len(called)
+    for i, (lo, hi) in enumerate(zip(chunks[:-1], chunks[1:])):
+        chunk = columns[i * _CSV_ROWS:(i + 1) * _CSV_ROWS]
+        assert sorted(bits[lo:hi].tolist()) == np.unique(chunk.view(np.int64)).tolist(), i
+
+
 def test_sweep_csv_formats_every_cell_by_its_repr():
     # hand-built columns holding both signed zeros, NaNs of two payloads and
     # values that recur within and across the writer's chunks of _CSV_ROWS rows

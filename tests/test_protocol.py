@@ -1415,8 +1415,65 @@ def test_flip_tables_are_built_once_per_run(monkeypatch, trials):
     simulate(cfg)
     # one transfer-phase and one data-phase table per canonical leaf
     assert len(calls) == 8
-    # and the decoders' laws once for the votes and once per data block
+    # and the decoders' laws once for the votes and once per distinct data block
     assert len(laws) == 1 + len(_block_plan(cfg))
+
+
+def _per_round_flip_table(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """`_bpsk_flip_table` without the dedupe: one erfc per round and input."""
+    bound = 40.0 * sd[:, None]
+    return std_normal_cdf_array(-np.clip(mean, -bound, bound) / sd[:, None])
+
+
+def _same_block_laws(got, want) -> bool:
+    """Two `_BlockLaws` equal field for field, arrays in dtype, shape and bytes."""
+    return all(
+        (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        if isinstance(a, np.ndarray) else type(a) is type(b) and a == b
+        for a, b in zip(got, want, strict=True))
+
+
+def test_data_block_laws_are_those_of_each_slice_and_equal_slices_share_one(monkeypatch):
+    # seven blocks of 130 rounds and one of 114; the alternating leaf has
+    # period 3, so blocks 0, 3, 6, blocks 1, 4 and blocks 2, 5 hold the same laws
+    cfg = SimConfig(alpha=1.0, n=1024, k=0, rate=0.1, jammer=canonical_schedules(),
+                    code_mode="common-randomness", master_seed=35, trials=3)
+    laws = _counting(monkeypatch, "_block_laws")
+    run = _run_tables(cfg)
+    p1 = np.stack([_per_round_flip_table(*leaf.data) for leaf in run.tables])
+    starts = np.cumsum([0] + [length for length, _ in run.plan])
+    slices = [p1[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
+    assert len(slices) == len(run.data) == 8
+    keys = [(block.shape, block.tobytes()) for block in slices]
+    assert len(set(keys)) == len(laws) == 4
+    for block, built in zip(slices, run.data):
+        assert _same_block_laws(built, _block_laws(block))
+    copy = pickle.loads(pickle.dumps(run))
+    for i in range(8):
+        for j in range(8):
+            same = keys[i] == keys[j]
+            assert (run.data[i] is run.data[j]) == same, (i, j)
+            assert (copy.data[i] is copy.data[j]) == same, (i, j)
+        assert _same_block_laws(copy.data[i], run.data[i])
+
+
+def test_bpsk_flip_table_is_the_per_round_cdf_bit_for_bit(monkeypatch):
+    # repeated laws, both signed zeros of mean / sd, and means past 40 sd
+    mean = np.array([[1.5, -0.5], [0.0, -0.0], [-0.0, 0.0], [1.5, -0.5], [1e300, -1e300],
+                     [41.0, -39.0], [1.5, -0.5], [3e-320, -7.25]])
+    sd = np.array([0.75, 1.0, 2.0, 0.75, 1.0, 1.0, 0.75, 0.5])
+    sizes = []
+    real = protocol.std_normal_cdf_array
+    monkeypatch.setattr(protocol, "std_normal_cdf_array",
+                        lambda x: sizes.append(x.size) or real(x))
+    table = _bpsk_flip_table(mean, sd)
+    want = _per_round_flip_table(mean, sd)
+    assert (table.dtype, table.shape, table.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    x = -np.clip(mean, -40.0 * sd[:, None], 40.0 * sd[:, None]) / sd[:, None]
+    assert sizes == [len(np.unique(x.view(np.int64)))] and sizes[0] < x.size
+    zeros = np.array([0.0, -0.0]).view(np.int64)
+    assert set(zeros.tolist()) <= set(x.view(np.int64).ravel().tolist())
+    assert x[4].tolist() == [-40.0, 40.0] and x[5].tolist() == [-40.0, 39.0]
 
 
 @pytest.mark.parametrize("mode, k", [("correlation-assisted", 32), ("common-randomness", 0)])
