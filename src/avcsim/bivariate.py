@@ -18,9 +18,10 @@ means b and correlations rho in, (N, 2, 2) laws out, with
 kernel's one-row call at general (x, y). The node tables (sin(t asin rho)
 and cos^2 below the switch, the remainder's abscissae above it) depend on
 rho alone; a kernel call (at most _BLOCK rows) builds them once per distinct
-rho and gathers them per point. The states of one jammer-grid row (one A)
-share rho, so at resolution 64 a table serves about 60 points. Every
-elementwise operation is the per-point one, so the bits are too.
+rho, node-major, and gathers them per point (one rho serves a jammer-grid
+row, one A). Each operation is the per-point one and the nodes are added in
+node order, so a row's law depends on its (b, rho) alone: not on the other
+rows, their order or the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .gaussian import GaussianState
 # Correlations this close to +/-1 are rejected rather than integrated.
 RHO_LIMIT = 1.0 - 1e-9
 
-# Rows per kernel call. The kernel holds (rows x 20 nodes) temporaries, so
+# Rows per kernel call. The kernel holds (20 nodes x rows) temporaries, so
 # `quadrant_laws` keeps each near 0.3 MB however many rows it is given; the
 # geometry sweep evaluates its per-point stages in blocks of the same size.
 _BLOCK = 2048
@@ -221,34 +222,38 @@ def _upper_orthant(h, k, rho, phi_mh, phi_mk) -> np.ndarray:
     A branch no row falls in is skipped, which keeps one-row calls cheap.
     """
     near = np.abs(rho) >= _GENZ_SWITCH
-    if not near.any():
-        return _orthant_far(h, k, rho, phi_mh, phi_mk)
-    if near.all():
-        return _orthant_near(h, k, rho, phi_mh, phi_mk)
     out = np.empty_like(h)
-    far = ~near
-    out[far] = _orthant_far(h[far], k[far], rho[far], phi_mh[far], phi_mk[far])
-    out[near] = _orthant_near(h[near], k[near], rho[near], phi_mh[near], phi_mk[near])
+    for branch, rows in ((_orthant_far, ~near), (_orthant_near, near)):
+        if rows.any():
+            out[rows] = branch(h[rows], k[rows], rho[rows], phi_mh[rows], phi_mk[rows])
     return out
+
+
+def _node_sum(f) -> np.ndarray:
+    """Gauss-Legendre sum of node-major f, adding the nodes in node order."""
+    total = f[0] * _GL_WEIGHTS[0]
+    for j in range(1, len(_GL_WEIGHTS)):
+        total += f[j] * _GL_WEIGHTS[j]
+    return total
 
 
 def _orthant_far(h, k, rho, phi_mh, phi_mk):
     # Phi(-h) Phi(-k) + (1/2pi) int_0^{asin rho} exp((hk sin t - hs) / cos^2 t) dt
     h = np.clip(h, -_GAP_CAP, _GAP_CAP)
     k = np.clip(k, -_GAP_CAP, _GAP_CAP)
-    hk = (h * k)[:, None]
-    hs = ((h * h + k * k) / 2.0)[:, None]
+    hk = h * k
+    hs = (h * h + k * k) / 2.0
     rhos, inverse = _distinct_bits(rho)
     asr = np.arcsin(rhos)
-    sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
-    asr, f, cos2 = (np.take(t, inverse, axis=0) for t in (asr, sn, 1.0 - sn * sn))
-    # f = exp((sn hk - hs) / cos2) in place: a fresh N x 20 temporary per step
+    sn = np.sin(np.multiply.outer(_UNIT_NODES, asr))
+    asr, f, cos2 = (np.take(t, inverse, axis=-1) for t in (asr, sn, 1.0 - sn * sn))
+    # f = exp((sn hk - hs) / cos2) in place: a fresh 20 x N temporary per step
     # would cost more in page faults than its arithmetic
     f *= hk
     f -= hs
     f /= cos2
     np.exp(f, out=f)
-    return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
+    return phi_mh * phi_mk + asr * _node_sum(f) / (4.0 * math.pi)
 
 
 def _orthant_near(h, k, rho, phi_mh, phi_mk):
@@ -262,20 +267,18 @@ def _orthant_near(h, k, rho, phi_mh, phi_mk):
     rhos, inverse = _distinct_bits(rho)
     one_m = (1.0 - np.abs(rhos)) * (1.0 + np.abs(rhos))
     a = np.sqrt(one_m)
-    xs = np.multiply.outer(a, _UNIT_NODES) ** 2
+    xs = np.multiply.outer(_UNIT_NODES, a) ** 2
     rs = np.sqrt(1.0 - xs)
-    one_m, a, xs, rs, rs2 = (np.take(t, inverse, axis=0)
+    one_m, a, xs, rs, rs2 = (np.take(t, inverse, axis=-1)
                                for t in (one_m, a, xs, rs, (1.0 + rs) ** 2))
     c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 16.0
     v = a * np.exp(-0.5 * bs / one_m - 0.5 * hk) * (
         1.0 - c * (bs - one_m) * (1.0 - d * bs / 5.0) / 3.0 + c * d * one_m * one_m / 5.0)
     v -= (math.sqrt(2.0 * math.pi) * std_normal_cdf_array(-abs_b / a) * abs_b
           * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0) * np.exp(-0.5 * hk))
-    half = 0.5 * a
-    hk, c, d = hk[:, None], c[:, None], d[:, None]
-    g = np.exp(-0.5 * bs[:, None] / xs - 0.5 * hk) * (
+    g = np.exp(-0.5 * bs / xs - 0.5 * hk) * (
         np.exp(-0.5 * hk * xs / rs2) / rs - (1.0 + c * xs * (1.0 + d * xs)))
-    v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
+    v = -(v + 0.5 * a * _node_sum(g)) / (2.0 * math.pi)
     # rho < 0 tail: max(0, Phi(-h) - Phi(k)), in a form exact at h = 0
     tail = np.maximum((phi_mh - 0.5) + (phi_mk - 0.5), 0.0)
     return np.where(rho > 0.0, v + np.minimum(phi_mh, phi_mk), tail - v)
@@ -290,8 +293,8 @@ def quadrant_laws(b, rho) -> np.ndarray:
     The checks and clipping of BinaryJointDist are applied to every row; each
     check fails on NaN. Measured against a 30-digit reference, the absolute
     error of q00 stays below 1e-15 for |rho| <= RHO_LIMIT. Any number of rows
-    is taken; the kernel sees them _BLOCK at a time, so a row's bits are those
-    of the same call on its block alone. At rho = 0, q00 = Phi(-b)/2 exactly.
+    is taken, _BLOCK at a time, and a row's law does not depend on the other
+    rows: it has the bits of a one-row call. At rho = 0, q00 = Phi(-b)/2 exactly.
     """
     b = np.asarray(b, dtype=float)
     rho = np.asarray(rho, dtype=float)

@@ -400,16 +400,13 @@ def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> floa
     _check_source(r, eta)
     if r == 0:
         raise ValueError("delta* needs positive squeezing")
-    resolution = 16
     last = None
-    while True:
+    for resolution in (16, 32, 64, 128, 256, 512):  # 512 is far past convergence
         value = _largest_delta(budget, r, eta, resolution)
         if last is not None and abs(value - last) < 1e-4:
             return value
-        if resolution >= 512:  # sweep map is smooth; this is far past convergence
-            return value
         last = value
-        resolution *= 2
+    return value
 
 
 CSV_COLUMNS = (

@@ -549,6 +549,15 @@ def bivariate_normal_cdf_adaptive(x: float, y: float, rho: float) -> float:
     return min(1.0, max(0.0, base + total))
 
 
+def _gl_sum(f: np.ndarray) -> np.ndarray:
+    """f @ _GL_WEIGHTS for point-major (N, 20) f, with each point's nodes
+    added in node order, the order the package's kernel adds them in."""
+    total = f[:, 0] * _GL_WEIGHTS[0]
+    for j in range(1, len(_GL_WEIGHTS)):
+        total += f[:, j] * _GL_WEIGHTS[j]
+    return total
+
+
 def orthant_at_origin_reference(b: np.ndarray, rho: np.ndarray,
                                 phi_mb: np.ndarray) -> np.ndarray:
     """Phi2(0, -b; rho) = P(X > 0, Y > b), elementwise; phi_mb holds Phi(-b).
@@ -564,7 +573,7 @@ def orthant_at_origin_reference(b: np.ndarray, rho: np.ndarray,
     asr = np.arcsin(rho[far])
     sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
     f = np.exp(-0.5 * (bf * bf)[:, None] / (1.0 - sn * sn))
-    out[far] = 0.5 * phi_mb[far] + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
+    out[far] = 0.5 * phi_mb[far] + asr * _gl_sum(f) / (4.0 * math.pi)
 
     # |rho| -> 1: closed-form leading terms, then the remainder integral over
     # x in [0, sqrt(1 - rho^2)], where it is smooth.
@@ -581,7 +590,7 @@ def orthant_at_origin_reference(b: np.ndarray, rho: np.ndarray,
     half = 0.5 * a
     xs = np.multiply.outer(a, _UNIT_NODES) ** 2
     g = np.exp(-0.5 * bs[:, None] / xs) * (1.0 / np.sqrt(1.0 - xs) - (1.0 + c * xs * (1.0 + d * xs)))
-    v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
+    v = -(v + half * _gl_sum(g)) / (2.0 * math.pi)
     phi = phi_mb[near]
     out[near] = np.where(rn > 0.0, v + np.minimum(phi, 0.5), np.maximum(phi - 0.5, 0.0) - v)
     return out
@@ -607,7 +616,7 @@ def orthant_far_per_point(h, k, rho, phi_mh, phi_mk):
     asr = np.arcsin(rho)
     sn = np.sin(np.multiply.outer(asr, _UNIT_NODES))
     f = np.exp((sn * hk - hs) / (1.0 - sn * sn))
-    return phi_mh * phi_mk + asr * (f @ _GL_WEIGHTS) / (4.0 * math.pi)
+    return phi_mh * phi_mk + asr * _gl_sum(f) / (4.0 * math.pi)
 
 
 def orthant_near_per_point(h, k, rho, phi_mh, phi_mk):
@@ -631,7 +640,7 @@ def orthant_near_per_point(h, k, rho, phi_mh, phi_mk):
     hk, c, d = hk[:, None], c[:, None], d[:, None]
     g = np.exp(-0.5 * bs[:, None] / xs - 0.5 * hk) * (
         np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs - (1.0 + c * xs * (1.0 + d * xs)))
-    v = -(v + half * (g @ _GL_WEIGHTS)) / (2.0 * math.pi)
+    v = -(v + half * _gl_sum(g)) / (2.0 * math.pi)
     # rho < 0 tail: max(0, Phi(-h) - Phi(k)), in a form exact at h = 0
     tail = np.maximum((phi_mh - 0.5) + (phi_mk - 0.5), 0.0)
     return np.where(rho > 0.0, v + np.minimum(phi_mh, phi_mk), tail - v)

@@ -385,6 +385,28 @@ def test_quadrant_laws_of_a_large_batch_are_those_of_its_blocks(monkeypatch):
     assert rows == [2048, 2048, 904]
 
 
+def test_a_quadrant_law_row_is_its_one_row_call_in_any_batch():
+    # the kernel adds its Gauss-Legendre nodes in one fixed order, so a row's
+    # bits follow from its (b, rho) alone: not from the batch size (across the
+    # 2048-row block), the other rows, their order or the rows sharing its
+    # rho table. Both kernel branches, signed zeros and the |rho| limit appear.
+    rng = np.random.default_rng(2026)
+    rhos = np.concatenate([rng.uniform(-RHO_LIMIT, RHO_LIMIT, 150),
+                           rng.uniform(0.9, RHO_LIMIT, 50) * rng.choice([-1.0, 1.0], 50),
+                           [0.0, -0.0, RHO_LIMIT, -RHO_LIMIT, 0.925, -0.925,
+                            np.nextafter(0.925, 0.0), np.nextafter(-0.925, 0.0)]])
+    b = rng.normal(0.0, 2.0, 5000)
+    rho = rng.choice(rhos, 5000)
+    b[:16] = [0.0, -0.0] * 8
+    rho[:16] = np.repeat(rhos[-8:], 2)
+    alone = np.concatenate([quadrant_laws(b[i:i + 1], rho[i:i + 1]) for i in range(5000)])
+    for n in (1, 2, 3, 2047, 2048, 2049, 5000):
+        rows = rng.permutation(5000)[:n]
+        assert quadrant_laws(b[rows], rho[rows]).tobytes() == alone[rows].tobytes(), n
+    order = rng.permutation(5000)
+    assert quadrant_laws(b[order], rho[order]).tobytes() == alone[order].tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _RHO),
                 min_size=1, max_size=16))

@@ -524,10 +524,23 @@ def test_simulate_artifacts_match_pinned_hashes(name, tmp_path, capsys):
     assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == trials_sha
 
 
+def _cli_in_fresh_process(args: list, env_set: dict) -> None:
+    """Run `python -m avcsim.cli *args` in a fresh process, with `env_set` in
+    its environment (and no inherited OPENBLAS_CORETYPE or
+    NPY_DISABLE_CPU_FEATURES), and require exit code 0."""
+    src = os.path.dirname(os.path.dirname(avcsim.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (env.get("PYTHONPATH"),) if p])
+    env.update(env_set)
+    proc = subprocess.run([sys.executable, "-m", "avcsim.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _thermal_run_artifacts(tmp_path, name: str, env_set: dict) -> tuple[bytes, bytes]:
     """report.json and trials.csv of a thermal seed-mismatch run in a fresh
-    process, with `env_set` in its environment (and no inherited
-    OPENBLAS_CORETYPE or NPY_DISABLE_CPU_FEATURES).
+    process (`_cli_in_fresh_process`).
 
     The thermal source makes seed transfers fail, and decoding with the
     wrong codebook meets many exactly tied scores.
@@ -536,16 +549,16 @@ def _thermal_run_artifacts(tmp_path, name: str, env_set: dict) -> tuple[bytes, b
                     source="thermal", master_seed=7, trials=10, cr_seed_bits=3)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_json_dict()))
-    src = os.path.dirname(os.path.dirname(avcsim.__file__))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in (env.get("PYTHONPATH"),) if p])
-    env.update(env_set)
     out = tmp_path / name
-    proc = subprocess.run([sys.executable, "-m", "avcsim.cli", "simulate", str(path),
-                           "--out", str(out)], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _cli_in_fresh_process(["simulate", path, "--out", out], env_set)
     return (out / "report.json").read_bytes(), (out / "trials.csv").read_bytes()
+
+
+def _sweep_bytes(tmp_path, name: str, env_set: dict) -> bytes:
+    """sweep.csv of `avcsim sweep --alpha 1 --resolution 64` in a fresh process."""
+    out = tmp_path / name / "sweep.csv"
+    _cli_in_fresh_process(["sweep", "--alpha", 1, "--resolution", 64, "--out", out], env_set)
+    return out.read_bytes()
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -555,6 +568,15 @@ def test_simulate_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
     # ties differently under Prescott
     default = _thermal_run_artifacts(tmp_path, "default", {})
     assert _thermal_run_artifacts(tmp_path, "prescott", {"OPENBLAS_CORETYPE": "Prescott"}) == default
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_sweep_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a quadrant kernel that summed its quadrature nodes with a BLAS product
+    # wrote other last digits under Prescott
+    default = _sweep_bytes(tmp_path, "default", {})
+    assert _sweep_bytes(tmp_path, "prescott", {"OPENBLAS_CORETYPE": "Prescott"}) == default
 
 
 def test_simulate_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

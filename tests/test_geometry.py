@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avcsim.geometry as geometry
-from avcsim.bivariate import BinaryJointDist
-from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer, symplectic_eigenvalues
+from avcsim.bivariate import BinaryJointDist, quadrant_laws
+from avcsim.gaussian import (
+    JammerGaussian,
+    mix_tmsv_with_jammer,
+    receiver_port_moments,
+    symplectic_eigenvalues,
+)
 from avcsim.geometry import (
     COORD_SUM_ATOL,
     CSV_COLUMNS,
@@ -196,6 +201,23 @@ def test_sweep_csv_matches_the_per_row_writer(alpha):
         sweep_to_csv(records, got)
         assert len(records) == rows
         assert got.getvalue() == expected.getvalue(), (alpha, eta, resolution)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_a_sweep_row_is_the_one_row_quadrant_law_of_its_moments(alpha):
+    # the sweep evaluates its rows in blocks of 2048, yet each row's law is
+    # the one-row call on its own (b, rho), with -0.0 cells made 0.0 as the
+    # sweep makes them; at alpha 2 the rows straddle |rho| = 0.925, so both
+    # kernel branches are read
+    budget = EnergyBudget(alpha * alpha)
+    r = default_squeezing(budget)
+    records = sweep_records(budget, r, 0.5, 64)
+    mean_b, var_b, rho = receiver_port_moments(records.A, records.a, r, 0.5)
+    b = mean_b / np.sqrt(var_b)
+    assert rho.tobytes() == records.rho.tobytes()
+    for i in range(len(records)):
+        q = quadrant_laws(b[i:i + 1], rho[i:i + 1])[0]
+        assert np.where(q > 0.0, q, 0.0).tobytes() == records.q[i].tobytes(), i
 
 
 def test_sweep_csv_calls_repr_once_per_distinct_value_of_each_chunk(monkeypatch):
