@@ -13,7 +13,8 @@ closed-form receiver-port moments, the batch quadrant kernel
 _BLOCK points so temporaries stay small. Every check the scalar route made per
 state (single-mode and two-mode physicality, a positive-definite homodyne
 covariance, the quadrant-law bounds, the affine hull and the coordinate sum)
-is made on the whole block, and fails on NaN.
+is made on the whole block, and fails on NaN. delta* runs the same path on
+the grid's anchors and row ends only (compute_delta_star says why).
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def default_squeezing(budget: EnergyBudget) -> float:
     return math.asinh(budget.alpha)
 
 
-def _grid_candidates(budget: EnergyBudget,
-                     resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, a) of the anchors and every grid row, duplicates included."""
+def _grid_candidates(budget: EnergyBudget, resolution: int,
+                     columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, a) of the anchors and the given columns of each row, duplicates included."""
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     e = budget.alpha_sq
@@ -166,16 +167,18 @@ def _grid_candidates(budget: EnergyBudget,
     if not a_lo > 0.0:
         raise ValueError(f"jammer budget alpha^2 = {e!r} is too large: the grid's "
                          "least jammer variance rounds to 0")
-    steps = np.arange(resolution)
-    big_a = a_lo + (a_hi - a_lo) * steps / (resolution - 1)
+    big_a = a_lo + (a_hi - a_lo) * np.arange(resolution) / (resolution - 1)
     a_max = np.sqrt(np.maximum(g - big_a - 0.25 / big_a, 0.0))[:, None]
     spread = a_max > 0.0
-    disp = np.where(spread, -a_max + 2.0 * a_max * steps / (resolution - 1), 0.0)
-    keep = spread | (steps == 0)  # a row with no displacement room is one point
+    disp = np.where(spread, -a_max + 2.0 * a_max * columns / (resolution - 1), 0.0)
+    keep = spread | (columns == 0)  # a row with no displacement room is one point
     rows = np.broadcast_to(big_a[:, None], keep.shape)[keep]
     cand_a = np.concatenate([[0.5, 0.5, 0.5, thermal], rows])
     cand_b = np.concatenate([[0.5, 0.5, 0.5, thermal], 0.25 / rows])
     cand_d = np.concatenate([[0.0, edge, -edge, 0.0], disp[keep]])
+    ok = (cand_a > 0.0) & (cand_b > 0.0) & (cand_a * cand_b >= 0.25 - SYMMETRY_ATOL)
+    if not np.all(ok):
+        raise ValueError("jammer grid holds an unphysical single-mode covariance")
     return cand_a, cand_b, cand_d
 
 
@@ -216,13 +219,9 @@ def _first_of_each_key(cand_a: np.ndarray, cand_d: np.ndarray) -> np.ndarray:
 
 def _grid_arrays(budget: EnergyBudget, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B, a) of the jammer grid, in jammer_grid's order; see there."""
-    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution)
+    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution, np.arange(resolution))
     idx = _first_of_each_key(cand_a, cand_d)
-    big_a, big_b, disp = cand_a[idx], cand_b[idx], cand_d[idx]
-    ok = (big_a > 0.0) & (big_b > 0.0) & (big_a * big_b >= 0.25 - SYMMETRY_ATOL)
-    if not np.all(ok):
-        raise ValueError("jammer grid holds an unphysical single-mode covariance")
-    return big_a, big_b, disp
+    return cand_a[idx], cand_b[idx], cand_d[idx]
 
 
 def jammer_grid(budget: EnergyBudget, resolution: int) -> list[JammerGaussian]:
@@ -374,9 +373,11 @@ def _margin(lc: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
 
 
 def _largest_delta(budget: EnergyBudget, r: float, eta: float, resolution: int) -> float:
-    """_margin over the sweep at one grid resolution."""
-    coords = [_barycentric_arrays(q) for *_, q, _ in _swept_blocks(budget, r, eta, resolution)]
-    return _margin(*(np.concatenate(parts) for parts in zip(*coords)))
+    """_margin over the anchors and row ends of the grid at one resolution."""
+    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution, np.array([0, resolution - 1]))
+    idx = _first_of_each_key(cand_a, cand_d)
+    q, _ = _quadrant_arrays(cand_a[idx], cand_b[idx], cand_d[idx], r, eta)
+    return _margin(*_barycentric_arrays(q))
 
 
 def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> float:
@@ -389,7 +390,20 @@ def compute_delta_star(budget: EnergyBudget, r: float, eta: float = 0.5) -> floa
     subset of the jammer region, so an upper bound on the continuous margin.
     At alpha = 1 a dense scan of the energy boundary is lower by 1.5e-5.
 
-    The margin is positive for r > 0. At fixed r it shrinks as the jammer
+    Only each grid's anchors and row ends are evaluated. A row fixes A, so
+    var_b and rho >= 0, and b is proportional to a. P(u != v) = (lambda_0 +
+    lambda_1) / 2 is even in b, and dP(u = v)/db = phi(b) [Phi(-rho b / s) -
+    Phi(rho b / s)] <= 0 for b >= 0, s = sqrt(1 - rho^2). So the margin's
+    binding term 1 - (lambda_0 + lambda_1) / (1 + atol) is least at the row
+    ends a = +-a_max(A), on the energy boundary; with rho >= 0 no coordinate
+    is negative, so no other term binds inside a row. Against the full grid
+    the value is equal, or a few ulp higher where rounding lifts an interior
+    lambda_0 + lambda_1 above its row's ends.
+
+    The margin is positive for r > 0 and eta > 0. At eta = 0 the receiver
+    sees only the jammer: rho = 0, every law lies on the q_0-q_1 edge, and
+    the value returned, 1.000000082740371e-10, is MEMBERSHIP_ATOL's slack,
+    not a margin. At fixed r it shrinks as the jammer
     budget grows, since a larger budget only adds jammer states. With
     r = default_squeezing(budget) the sender's squeezing grows with alpha too,
     and the margin is unimodal in alpha: 0.1888, 0.2970, 0.2960, 0.2005 at

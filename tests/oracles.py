@@ -48,7 +48,7 @@ from avcsim.channels import (
     _symmetrizing_system,
     symmetrization_residual,
 )
-from avcsim.gaussian import SYMMETRY_ATOL, JammerGaussian, mix_tmsv_with_jammer
+from avcsim.gaussian import JammerGaussian, mix_tmsv_with_jammer
 from avcsim.geometry import (
     CSV_COLUMNS,
     MEMBERSHIP_ATOL,
@@ -58,6 +58,7 @@ from avcsim.geometry import (
     _check_source,
     _coords_in_shrunken,
     _grid_candidates,
+    _margin,
     _swept_blocks,
     barycentric,
 )
@@ -767,6 +768,25 @@ def delta_star_scalar(budget: EnergyBudget, r: float, eta: float = 0.5) -> float
         resolution *= 2
 
 
+def largest_delta_full_grid(budget: EnergyBudget, r: float, eta: float,
+                            resolution: int) -> float:
+    """`geometry._margin` over every point of the grid at one resolution."""
+    coords = [_barycentric_arrays(q) for *_, q, _ in _swept_blocks(budget, r, eta, resolution)]
+    return _margin(*(np.concatenate(parts) for parts in zip(*coords)))
+
+
+def delta_star_full_grid(budget: EnergyBudget, r: float,
+                         eta: float = 0.5) -> tuple[float, int]:
+    """compute_delta_star's ladder over full grids: (delta*, the rung it stops at)."""
+    last = None
+    for resolution in (16, 32, 64, 128, 256, 512):
+        value = largest_delta_full_grid(budget, r, eta, resolution)
+        if last is not None and abs(value - last) < 1e-4:
+            break
+        last = value
+    return value, resolution
+
+
 # --- per-key grid deduplication and per-row sweep CSV ------------------------
 
 
@@ -781,13 +801,9 @@ def first_of_each_key_reference(cand_a: np.ndarray, cand_d: np.ndarray) -> np.nd
 def grid_arrays_reference(budget: EnergyBudget,
                           resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`geometry._grid_arrays` with one Python round key per candidate point."""
-    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution)
+    cand_a, cand_b, cand_d = _grid_candidates(budget, resolution, np.arange(resolution))
     idx = first_of_each_key_reference(cand_a, cand_d)
-    big_a, big_b, disp = cand_a[idx], cand_b[idx], cand_d[idx]
-    ok = (big_a > 0.0) & (big_b > 0.0) & (big_a * big_b >= 0.25 - SYMMETRY_ATOL)
-    if not np.all(ok):
-        raise ValueError("jammer grid holds an unphysical single-mode covariance")
-    return big_a, big_b, disp
+    return cand_a[idx], cand_b[idx], cand_d[idx]
 
 
 def binarized_correlation_reference(q: BinaryJointDist) -> float:

@@ -36,11 +36,13 @@ from avcsim.geometry import (
 )
 
 from oracles import (
+    delta_star_full_grid,
     delta_star_scalar,
     first_of_each_key_reference,
     grid_arrays_reference,
     jammer_grid_scalar,
     largest_delta_bisection,
+    largest_delta_full_grid,
     sweep_csv_reference,
     sweep_scalar,
 )
@@ -364,6 +366,113 @@ def test_delta_star_matches_scalar_bisection():
         budget = EnergyBudget(alpha * alpha)
         for r in {default_squeezing(budget), fixed_r}:
             assert abs(compute_delta_star(budget, r) - delta_star_scalar(budget, r)) <= 1e-12
+
+
+def _pinned_delta_star_configs():
+    # the (alpha, r, eta) that the delta* tests and perfbench pin
+    for alpha in (0.25, 0.5, 1.0, 2.0, 3.0):
+        for r in {math.asinh(alpha), math.asinh(0.5), math.asinh(0.25)}:
+            yield alpha, r, 0.5
+
+
+def _sampled_delta_star_configs():
+    # 0.3538... and 0.4551... at eta 0.2, r 0.25 are budgets where an interior
+    # point's lambda_0 + lambda_1 rounds 1 ulp above its row's ends
+    yield 0.35384615384615387, 0.25, 0.2
+    yield 0.4551282051282051, 0.25, 0.2
+    rng = np.random.default_rng(2727)
+    for _ in range(40):
+        alpha = float(rng.uniform(0.05, 4.0))
+        r = float(rng.choice([math.asinh(alpha), 0.25, 1.0]))
+        yield alpha, r, float(rng.choice([0.0, 0.2, 0.5, 0.9, 1.0]))
+
+
+def test_row_end_margin_matches_the_full_grid(monkeypatch):
+    # delta* reads only the anchors and row ends; every rung's margin is the
+    # full grid's, bit for bit where pinned and else no lower and at most
+    # 4 ulp higher, counted in the ulp of the larger of delta and
+    # 1 - delta (the margin is 1 - (lambda_0 + lambda_1) / (1 + atol))
+    pinned = list(_pinned_delta_star_configs())
+    assert len(pinned) == 13
+    real, rungs = geometry._largest_delta, []
+    monkeypatch.setattr(geometry, "_largest_delta",
+                        lambda *args: rungs.append(args[-1]) or real(*args))
+    for alpha, r, eta in pinned + list(_sampled_delta_star_configs()):
+        budget = EnergyBudget(alpha * alpha)
+        for resolution in (16, 32, 64, 128):
+            got = real(budget, r, eta, resolution)
+            ref = largest_delta_full_grid(budget, r, eta, resolution)
+            if (alpha, r, eta) in pinned:
+                assert repr(got) == repr(ref), (alpha, r, eta, resolution)
+            ulp = max(np.spacing(ref), np.spacing(1.0 - ref))
+            assert 0.0 <= got - ref <= 4.0 * ulp, (alpha, r, eta, resolution, got, ref)
+        del rungs[:]
+        value = compute_delta_star(budget, r, eta)
+        ref_value, ref_rung = delta_star_full_grid(budget, r, eta)
+        assert rungs[-1] == ref_rung, (alpha, r, eta)
+        assert value == real(budget, r, eta, ref_rung)
+        if (alpha, r, eta) in pinned:
+            assert repr(value) == repr(ref_value), (alpha, r, eta)
+
+
+@pytest.mark.parametrize("alpha, resolution, etas", [
+    (1.0, 512, (0.5,)), (0.5, 128, (0.2, 0.5, 0.9)), (2.0, 128, (0.2, 0.5, 0.9))])
+def test_sweep_rows_are_least_margin_at_their_ends(alpha, resolution, etas):
+    # the premise of delta*'s row-end search: within a row of the grid (one A)
+    # lambda_0 + lambda_1 is largest at the points of largest |a|, up to
+    # rounding, and rho >= 0
+    budget = EnergyBudget(alpha * alpha)
+    for eta in etas:
+        records = sweep_records(budget, default_squeezing(budget), eta, resolution)
+        assert np.all(records.rho >= 0.0)
+        off = records.lambda_0 + records.lambda_1
+        _, row = np.unique(records.A, return_inverse=True)
+        size = np.abs(records.a)
+        widest = np.zeros(row.max() + 1)
+        np.maximum.at(widest, row, size)
+        at_end = size == widest[row]
+        end_low = np.full(row.max() + 1, np.inf)
+        np.minimum.at(end_low, row[at_end], off[at_end])
+        assert np.count_nonzero(~at_end) > 0.9 * off.size
+        assert np.all(off <= end_low[row] + 4.0 * np.spacing(end_low[row])), (alpha, eta)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 1e-8, 1e-9])
+def test_row_end_search_covers_anchors_row_ends_and_every_row(alpha, monkeypatch):
+    budget = EnergyBudget(alpha * alpha)
+    real = geometry._quadrant_arrays
+    for resolution in (2, 3, 16, 64, 200):
+        seen = []
+        monkeypatch.setattr(geometry, "_quadrant_arrays",
+                            lambda *args: seen.append(args[:3]) or real(*args))
+        geometry._largest_delta(budget, 0.5, 0.5, resolution)
+        evaluated = set(zip(*(np.concatenate(part).tolist() for part in zip(*seen))))
+        big_a, big_b, disp = geometry._grid_arrays(budget, resolution)
+        grid = list(zip(big_a.tolist(), big_b.tolist(), disp.tolist()))
+        assert evaluated <= set(grid), resolution
+        widest = {}
+        for x, _, z in grid:
+            widest[x] = max(widest.get(x, 0.0), abs(z))
+        ends = {p for p in grid if abs(p[2]) == widest[p[0]]}
+        cand_a, _, cand_d = geometry._grid_candidates(budget, resolution, np.arange(resolution))
+        anchors = {grid[k] for k, i in enumerate(geometry._first_of_each_key(cand_a, cand_d))
+                   if i < 4}
+        assert ends | anchors <= evaluated, resolution
+        # every row reaches _quadrant_arrays, so none skips its physicality checks
+        assert {p[0] for p in evaluated} == set(widest), resolution
+
+
+def test_delta_star_without_a_source_link_is_the_membership_slack():
+    # at eta = 0 the receiver sees only the jammer: rho = 0, every law is on
+    # the q_0-q_1 edge, and what is left is MEMBERSHIP_ATOL's slack
+    for alpha in (0.5, 1.0, 2.0):
+        budget = EnergyBudget(alpha * alpha)
+        records = sweep_records(budget, default_squeezing(budget), 0.0, 16)
+        assert np.all(records.rho == 0.0)
+        assert np.all(np.abs(records.lambda_c) <= 1e-15)
+        delta = compute_delta_star(budget, default_squeezing(budget), 0.0)
+        assert repr(delta) == "1.000000082740371e-10"
+        assert delta == 1.0 - 1.0 / (1.0 + geometry.MEMBERSHIP_ATOL)
 
 
 def test_closed_form_margin_matches_bisection_edge_cases():
